@@ -21,9 +21,10 @@ pub struct ServiceConfig {
     /// concurrent readers; `1` restores the exact global-LRU behaviour
     /// the cache-behaviour experiments (Table 1, §4) were measured with.
     pub cache_shards: usize,
-    /// Read back and parse every appended block, invalidating and
-    /// re-writing it at the next block on failure (§2.3.2). Costs one
-    /// device read per append; required for the fault-injection tests.
+    /// Read back every written block, invalidating and re-writing it at
+    /// the next block on failure (§2.3.2). Costs one device read per
+    /// block and drains the sealed queue one block at a time; required
+    /// for the fault-injection tests.
     pub verify_appends: bool,
     /// Maximum client/server clock skew (µs) tolerated when resolving a
     /// client-generated unique id (§2.1: "its correctness depends on the
@@ -32,20 +33,14 @@ pub struct ServiceConfig {
     pub unique_id_skew_us: u64,
     /// Capacity of the per-service op trace ring (0 disables tracing).
     pub trace_events: usize,
-    /// Group commit (§2.3.1 spirit, Hagmann-style): sealed blocks are
-    /// queued in memory and forced appends coalesce into one vectored
-    /// device write under a leader/follower protocol. Off restores the
-    /// legacy one-device-write-per-forced-append path for A/B runs.
-    /// `Default` honours the `CLIO_GROUP_COMMIT` environment variable
-    /// (`0` = off) so test suites can A/B without code changes.
-    pub group_commit: bool,
-    /// Largest number of blocks one vectored commit write may carry;
-    /// longer sealed queues drain in several writes.
+    /// Bound on the in-memory sealed queue, in blocks. Sealed blocks wait
+    /// there so forced appends can share one vectored device write (group
+    /// commit); once the queue holds this many, the sealing appender
+    /// writes it out (§2.3.1 write-when-full). A crash therefore loses at
+    /// most the open block plus this many blocks of buffered entries per
+    /// shard. It is also the largest number of blocks one vectored write
+    /// carries.
     pub max_batch_blocks: usize,
-    /// How long (µs) a commit leader dallies before writing, so forced
-    /// appends arriving nearly together share its batch. `0` commits
-    /// immediately (batching then comes only from genuine concurrency).
-    pub commit_wait_us: u64,
     /// Independent append domains the service is partitioned into (power
     /// of two, hash-picked by top-level log file id like the block cache's
     /// shards). Each shard owns its own state lock, commit gate, read
@@ -71,9 +66,7 @@ impl Default for ServiceConfig {
             verify_appends: false,
             unique_id_skew_us: 5_000_000,
             trace_events: 512,
-            group_commit: std::env::var("CLIO_GROUP_COMMIT").map_or(true, |v| v != "0"),
             max_batch_blocks: 64,
-            commit_wait_us: 0,
             shards: 4,
             http_addr: None,
         }
@@ -138,14 +131,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables group commit (see
-    /// [`ServiceConfig::group_commit`]).
-    #[must_use]
-    pub fn with_group_commit(mut self, on: bool) -> ServiceConfig {
-        self.group_commit = on;
-        self
-    }
-
     /// Sets the HTTP observability bind address (see
     /// [`ServiceConfig::http_addr`]).
     #[must_use]
@@ -168,11 +153,9 @@ mod tests {
         assert_eq!(c.cache_shards, 8);
         assert_eq!(ServiceConfig::small().with_cache_shards(1).cache_shards, 1);
         assert_eq!(c.max_batch_blocks, 64);
-        assert_eq!(c.commit_wait_us, 0);
         assert_eq!(c.shards, 4);
         assert_eq!(ServiceConfig::small().shards, 1);
         assert_eq!(ServiceConfig::small().with_shards(8).shards, 8);
-        assert!(!ServiceConfig::small().with_group_commit(false).group_commit);
         assert!(c.http_addr.is_none());
         assert_eq!(
             ServiceConfig::small()

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
-use clio_obs::{Counter, Histogram, MetricsRegistry, SpanGuard, TraceRing};
+use clio_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceRing};
 use clio_testkit::sync::Mutex;
 use clio_types::{LogFileId, Result};
 use clio_volume::DevicePool;
@@ -44,6 +44,9 @@ pub(crate) struct PerShard {
     pub leader_elections: Arc<Counter>,
     /// Blocks written per commit batch on this shard.
     pub commit_batch_blocks: Arc<Histogram>,
+    /// Sealed blocks waiting in memory for a device write as of the last
+    /// snapshot publish: with the open block, what a crash would lose.
+    pub sealed_queue_blocks: Arc<Gauge>,
 }
 
 /// The observability state of one service instance.
@@ -181,6 +184,9 @@ impl ServiceObs {
                     commit_batch_blocks: self
                         .registry
                         .histogram_with("clio_shard_commit_batch_blocks", labels),
+                    sealed_queue_blocks: self
+                        .registry
+                        .gauge_with("clio_core_sealed_queue_blocks", labels),
                 })
             })
             .clone()
@@ -257,7 +263,7 @@ impl ServiceObs {
     /// staged forced appends it covered, and how many physical device
     /// writes it took. "Writes saved" is the forced appends covered beyond
     /// the device writes the batch actually issued (a lone forced append
-    /// commits with one write, saving nothing — exactly the legacy cost).
+    /// commits with one write and saves nothing).
     pub fn note_group_commit(&self, blocks: u64, forced_covered: u64, device_writes: u64) {
         self.group_commit_batches.inc();
         self.group_commit_batch_blocks.record(blocks);

@@ -35,6 +35,7 @@ use clio_types::{BlockNo, ClioError, EntryAddr, LogFileId, Result, SeqNo, Timest
 use clio_volume::Volume;
 
 use crate::service::{globalize_addr, LogService, ReadView, Shard};
+use crate::write::MAX_REPLACEMENTS;
 
 /// A fully reassembled log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,12 +188,15 @@ impl Shard {
         let src = self.source_for(view, addr.volume_index)?;
         let mut db = addr.block.0;
         let mut img = src.read(db)?;
-        if BlockView::is_invalidated(&img) {
+        if self.cfg.verify_appends && BlockView::is_invalidated(&img) {
             // The block was invalidated after this address was issued; with
-            // append verification its contents were re-placed in a following
-            // block at the same slot (best effort, §2.3.2).
+            // append verification its contents were re-placed in one of the
+            // following blocks at the same slot (best effort, §2.3.2).
+            // Without verification nothing is re-placed: an invalidated
+            // block is a torn write that recovery cut off, and the next
+            // block holds unrelated, later entries.
             let mut found = None;
-            for cand in db + 1..(db + 4).min(src.data_end()) {
+            for cand in db + 1..(db + 1 + MAX_REPLACEMENTS).min(src.data_end()) {
                 let ci = src.read(cand)?;
                 if let Ok(v) = BlockView::parse(&ci) {
                     if v.count() > addr.slot {
@@ -216,9 +220,9 @@ impl Shard {
             // piece means the chain is torn — the entry does not exist.
             let total = total_len as usize;
             let mut at = db + 1;
-            let mut skipped = 0u32;
+            let mut skipped = 0u64;
             while data.len() < total {
-                if at >= src.data_end() || skipped > 4 {
+                if at >= src.data_end() || skipped > MAX_REPLACEMENTS {
                     return Err(ClioError::NotFound(format!(
                         "fragments of entry {addr} missing past block {at}"
                     )));

@@ -76,7 +76,8 @@ fn state_class(idx: u32) -> &'static str {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// Buffer in the server's open block; durable at the next forced write
-    /// or block seal.
+    /// or flush, or when the sealed queue its block joins fills
+    /// (`max_batch_blocks`, §2.3.1 write-when-full).
     #[default]
     Buffered,
     /// Persist before returning — staged to battery-backed RAM when the
@@ -141,9 +142,10 @@ impl AppendOpts {
 /// consequence of the write operation").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Receipt {
-    /// The entry's address. Final for forced appends; provisional for
-    /// buffered appends when append verification is enabled (a block that
-    /// fails verification is re-written at the next address).
+    /// The entry's address. Final unless append verification is enabled:
+    /// a block that fails verification is re-written a few blocks on, and
+    /// reading this address follows it there (the read entry carries the
+    /// final address).
     pub addr: EntryAddr,
     /// The service timestamp assigned to the entry.
     pub timestamp: Timestamp,
@@ -197,8 +199,8 @@ pub(crate) struct State {
     pub pending_badblocks: Vec<u64>,
     pub stats: SpaceStats,
     /// Blocks sealed in memory, awaiting the next commit's vectored write
-    /// (group commit only; always empty on the legacy path). Ordered by
-    /// `db`, contiguous from the active volume's device end.
+    /// or the drain a full queue triggers (at most `max_batch_blocks`).
+    /// Ordered by `db`, contiguous from the active volume's device end.
     pub sealed_queue: Vec<SealedBlock>,
     /// Forced appends staged since the last commit — what the commit
     /// "covers", for the forced-writes-saved metric.
@@ -235,10 +237,10 @@ pub(crate) struct ReadView {
 
 /// The leader/follower commit gate. A forced appender stages its entry
 /// under the state lock, then waits here: the first waiter to find no
-/// commit in flight becomes the *leader*, (optionally) dallies
-/// `commit_wait_us`, drains the sealed queue plus the partial block in one
-/// vectored device write, advances `committed` to the commit-seq snapshot,
-/// and wakes every follower whose sequence number it covered.
+/// commit in flight becomes the *leader*, drains the sealed queue plus the
+/// partial block in one vectored device write, advances `committed` to
+/// the commit-seq snapshot, and wakes every follower whose sequence number
+/// it covered.
 pub(crate) struct CommitGate {
     pub m: Mutex<CommitClock>,
     pub cv: Condvar,
@@ -368,14 +370,6 @@ impl Shard {
         }
     }
 
-    /// Whether the group-commit pipeline is in effect. Verified appends
-    /// are incompatible with deferred batch writes (verification re-places
-    /// a block *before* its address is acknowledged, which a queued seal
-    /// cannot do), so `verify_appends` forces the legacy path.
-    pub(crate) fn group_commit_on(&self) -> bool {
-        self.cfg.group_commit && !self.cfg.verify_appends
-    }
-
     /// Publishes a fresh [`ReadView`] from the current append-side state.
     /// Called (with the state lock held) at the end of every mutating
     /// operation; readers pick it up via a cheap atomic-swap-cell `get`.
@@ -395,6 +389,9 @@ impl Shard {
             .iter()
             .map(|b| (b.db, b.image.clone()))
             .collect();
+        self.pshard
+            .sealed_queue_blocks
+            .set(st.sealed_queue.len() as i64);
         self.view.set(Arc::new(ReadView {
             catalog: st.catalog.clone(),
             sealed_pendings: st.sealed_pendings.clone(),
@@ -494,31 +491,43 @@ impl Shard {
     }
 
     fn append_inner(&self, id: LogFileId, data: &[u8], opts: AppendOpts) -> Result<Receipt> {
-        let group_forced = self.group_commit_on() && matches!(opts.durability, Durability::Forced);
-        // Stage: encode the entry into the open block under the (short)
-        // state lock. A group-mode forced append defers both the device
-        // write and the snapshot republish to the commit leader.
+        let forced = matches!(opts.durability, Durability::Forced).then_some(1);
+        self.stage_and_commit(forced, |st| self.append_locked(st, id, data, opts))
+    }
+
+    /// Stage, then commit: runs `stage` (which encodes entries into the
+    /// open block) under the short state lock. A forced stage of `forced`
+    /// appends defers both the device write and the snapshot republish to
+    /// the commit leader, then waits until its sequence number is durable.
+    fn stage_and_commit<T>(
+        &self,
+        forced: Option<u64>,
+        stage: impl FnOnce(&mut State) -> Result<T>,
+    ) -> Result<T> {
         let (r, my_seq) = {
             // Declared before the lock guard: the stage span covers lock
             // acquisition and records only after the lock is released.
             let _stage = self.obs.span("stage");
             let mut st = self.state.lock();
-            let r = self.append_locked(&mut st, id, data, opts);
-            let seq = st.forced_seq;
-            // Republish even on failure: a failed append may still have
-            // sealed blocks (fragmentation) the snapshot should reflect.
-            if !(group_forced && r.is_ok()) {
-                self.publish_view(&st);
+            let r = stage(&mut st);
+            match (&r, forced) {
+                (Ok(_), Some(n)) => {
+                    st.forced_seq += 1;
+                    st.staged_forced += n;
+                }
+                // Republish even on failure: a failed append may still have
+                // sealed blocks (fragmentation) the snapshot should reflect.
+                _ => self.publish_view(&st),
             }
-            (r, seq)
+            (r, st.forced_seq)
         };
-        let receipt = r?;
-        if group_forced {
-            // Commit: wait for a leader to make our sequence number
-            // durable, or become the leader ourselves.
+        let staged = r?;
+        if forced.is_some() {
+            // Wait for a leader to make our sequence number durable, or
+            // become the leader ourselves.
             self.commit_wait(my_seq)?;
         }
-        Ok(receipt)
+        Ok(staged)
     }
 
     /// Leader/follower commit. Blocks until every forced append staged at
@@ -548,11 +557,6 @@ impl Shard {
             drop(gate);
             led = true;
             self.pshard.leader_elections.inc();
-            // Lead. Dally (with no lock held) so forced appends arriving
-            // nearly together can join this batch.
-            if self.cfg.commit_wait_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(self.cfg.commit_wait_us));
-            }
             let (result, target) = {
                 let mut st = self.state.lock();
                 let target = st.forced_seq;
@@ -582,6 +586,8 @@ impl Shard {
         result
     }
 
+    /// Checks permissions and encodes one entry into the open block; the
+    /// caller ([`Shard::stage_and_commit`]) handles `opts.durability`.
     pub(crate) fn append_locked(
         &self,
         st: &mut State,
@@ -614,30 +620,9 @@ impl Shard {
             opts.seqno,
         );
         let (vol_idx, db, slot) = self.push_record(st, header, data, true)?;
-        let mut addr = EntryAddr::new(vol_idx, clio_types::BlockNo(db), slot);
-        if matches!(opts.durability, Durability::Forced) {
-            if self.group_commit_on() {
-                // Group mode: only *stage* here; the device write happens
-                // in commit_wait, batched with other forced appends. The
-                // address is final (no verification re-placement).
-                st.forced_seq += 1;
-                st.staged_forced += 1;
-            } else {
-                // If the entry sits in the still-open block, persisting may
-                // move that block (verification failures re-place it), so
-                // the final address is only known afterwards.
-                let in_open =
-                    vol_idx == st.active_index && st.open.as_ref().is_some_and(|ob| ob.db == db);
-                if let Some(final_db) = self.persist_open(st)? {
-                    if in_open {
-                        addr.block = clio_types::BlockNo(final_db);
-                    }
-                }
-            }
-        }
         self.drain_badblocks(st)?;
         Ok(Receipt {
-            addr,
+            addr: EntryAddr::new(vol_idx, clio_types::BlockNo(db), slot),
             timestamp: now,
         })
     }
@@ -647,7 +632,7 @@ impl Shard {
         let _span = self.obs.span("flush");
         let mut st = self.state.lock();
         let r = (|| {
-            self.persist_all(&mut st)?;
+            self.commit_locked(&mut st)?;
             self.drain_badblocks(&mut st)
         })();
         self.publish_view(&st);
@@ -685,52 +670,27 @@ impl Shard {
         span.attr("entries", items.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
-        let group_forced = self.group_commit_on() && matches!(opts.durability, Durability::Forced);
+        let forced = matches!(opts.durability, Durability::Forced).then_some(items.len() as u64);
         let mut noted: Vec<LogFileId> = Vec::with_capacity(items.len());
-        let (r, my_seq) = {
-            let _stage = self.obs.span("stage");
-            let mut st = self.state.lock();
-            let r: Result<Vec<Receipt>> = (|| {
-                let mut receipts = Vec::with_capacity(items.len());
-                let staged_opts = AppendOpts {
-                    durability: Durability::Buffered,
-                    ..opts
-                };
-                for (path, data) in items {
+        let r = self.stage_and_commit(forced, |st| {
+            items
+                .iter()
+                .map(|(path, data)| {
                     let id = st.catalog.resolve(path)?;
                     noted.push(id);
-                    receipts.push(self.append_locked(&mut st, id, data, staged_opts)?);
-                }
-                if matches!(opts.durability, Durability::Forced) {
-                    if self.group_commit_on() {
-                        st.forced_seq += 1;
-                        st.staged_forced += items.len() as u64;
-                    } else {
-                        self.persist_open(&mut st)?;
-                    }
-                }
-                Ok(receipts)
-            })();
-            let seq = st.forced_seq;
-            if !(group_forced && r.is_ok()) {
-                self.publish_view(&st);
-            }
-            (r, seq)
-        };
+                    self.append_locked(st, id, data, opts)
+                })
+                .collect::<Result<Vec<Receipt>>>()
+        });
         for id in &noted {
             self.obs.note_append(*id, start.elapsed(), r.is_ok());
         }
         if r.is_ok() {
             self.pshard.appends.add(noted.len() as u64);
-        }
-        if r.is_err() {
+        } else {
             span.fail("error");
         }
-        let receipts = r?;
-        if group_forced {
-            self.commit_wait(my_seq)?;
-        }
-        Ok(receipts)
+        r
     }
 
     /// A clone of this shard's space accounting (merged by the router).
@@ -746,8 +706,7 @@ impl Shard {
         // Committed directly under the state lock (not through the gate):
         // catalog changes are rare and already serialized with any commit
         // leader by the lock itself.
-        self.persist_all(st)?;
-        Ok(())
+        self.commit_locked(st)
     }
 }
 

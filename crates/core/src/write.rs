@@ -13,9 +13,20 @@ use clio_types::{BlockNo, ClioError, LogFileId, Result};
 use crate::service::{OpenBlock, SealedBlock, Shard, State};
 use crate::stats::SpaceStats;
 
-/// Bound on seal retries after append-verification failures; repeated
-/// failures indicate a dying device, not transient corruption.
-const MAX_SEAL_ATTEMPTS: u32 = 8;
+/// Bound on how often one block is re-placed after failing append
+/// verification; repeated failures indicate a dying device, not transient
+/// corruption. Readers search this many blocks past an invalidated block
+/// for its re-placed image.
+pub(crate) const MAX_REPLACEMENTS: u64 = 7;
+
+/// What one drain of the sealed queue put on the medium.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Drain {
+    /// Vectored device writes issued.
+    pub writes: u64,
+    /// Blocks that landed.
+    pub blocks: u64,
+}
 
 /// Bound on blocks a single record may spread over before we declare a
 /// configuration bug (the fragmentation loop normally terminates long
@@ -274,7 +285,7 @@ impl Shard {
                 break;
             }
             // Block exhausted: seal it and continue in the next.
-            let sealed_db = self.seal_open(st)?;
+            let (sealed_db, _) = self.seal_open(st)?;
             if first_open {
                 // The block holding the first fragment just sealed; its
                 // final location is now known (it may have been displaced).
@@ -290,9 +301,11 @@ impl Shard {
         Ok((vol_idx, db, slot))
     }
 
-    /// Seals the open block onto the medium, verifying and re-placing it on
-    /// corruption (§2.3.2). Returns the data block it finally landed on.
-    pub(crate) fn seal_open(&self, st: &mut State) -> Result<u64> {
+    /// Seals the open block into the sealed queue, draining the queue onto
+    /// the medium once it holds `queue_bound()` blocks (§2.3.1
+    /// write-when-full). Returns the data block the open block finally
+    /// landed on and what the drain, if any, wrote.
+    pub(crate) fn seal_open(&self, st: &mut State) -> Result<(u64, Drain)> {
         // Span guard declared inside the function: the state lock is already
         // held by the caller, and the trace ring is a leaf lock, so recording
         // on drop here adds only the benign state -> ring edge.
@@ -308,211 +321,183 @@ impl Shard {
         r
     }
 
-    fn seal_open_inner(&self, st: &mut State) -> Result<u64> {
-        if self.group_commit_on() {
-            return self.seal_open_queued(st);
-        }
-        let mut ob = st
-            .open
-            .take()
-            .ok_or_else(|| ClioError::Internal("seal with no open block".into()))?;
-        let vol = self.seq.volume(st.active_index)?;
-        let img = ob.builder.finish();
-        let padding = self.cfg.block_size
-            - TRAILER_SIZE
-            - 2 * usize::from(ob.builder.count())
-            - ob.builder.data_len();
-        let mut db = ob.db;
-        let mut attempts = 0u32;
-        loop {
-            if let Err(e) = vol.append_data_block(db, img.clone()) {
-                // Keep the writer consistent on device failure: the block
-                // stays open (buffered entries preserved) at its current
-                // target, matching the entrymap writer's block sequence,
-                // and the caller sees the error instead of a later panic.
-                ob.db = db;
-                st.open = Some(ob);
-                return Err(e);
-            }
-            if self.cfg.verify_appends {
-                let back = vol.read_data_block_direct(db)?;
-                if back != img {
-                    attempts += 1;
-                    if attempts >= MAX_SEAL_ATTEMPTS {
-                        ob.db = db;
-                        st.open = Some(ob);
-                        return Err(ClioError::Internal(
-                            "append corruption persists; giving up on this device".into(),
-                        ));
-                    }
-                    // The block was "written with garbage": invalidate it,
-                    // note it for the bad-block log, and re-place the same
-                    // image at the next block. Any entrymap records due at
-                    // that next block are displaced forward (§2.3.2).
-                    vol.invalidate_data_block(db)?;
-                    st.pending_badblocks.push(db);
-                    st.emap.note_block(db, std::iter::empty());
-                    let recs = st.emap.begin_block(db + 1);
-                    st.carryover.extend(recs);
-                    db += 1;
-                    if db >= vol.data_capacity() {
-                        ob.db = db;
-                        st.open = Some(ob);
-                        return Err(ClioError::VolumeFull);
-                    }
-                    continue;
-                }
-            }
-            break;
-        }
-        st.emap.note_block(db, ob.ids.iter().copied());
-        st.stats.note_sealed_block(padding, TRAILER_SIZE);
-        Ok(db)
-    }
-
-    /// Group-commit seal: finishes the open block into the in-memory
-    /// sealed queue without touching the device. The entrymap and space
-    /// accounting advance exactly as for a device seal; the next commit's
-    /// batched write (or a flush/volume switch) lands it on the medium.
-    /// The block's address is final — group commit never runs with append
-    /// verification, so there is no re-placement.
-    fn seal_open_queued(&self, st: &mut State) -> Result<u64> {
+    fn seal_open_inner(&self, st: &mut State) -> Result<(u64, Drain)> {
         let ob = st
             .open
             .take()
             .ok_or_else(|| ClioError::Internal("seal with no open block".into()))?;
-        let img = ob.builder.finish();
         let padding = self.cfg.block_size
             - TRAILER_SIZE
             - 2 * usize::from(ob.builder.count())
             - ob.builder.data_len();
-        let db = ob.db;
         st.sealed_queue.push(SealedBlock {
-            db,
-            image: std::sync::Arc::new(img),
+            db: ob.db,
+            image: std::sync::Arc::new(ob.builder.finish()),
         });
+        let drained = if st.sealed_queue.len() >= self.queue_bound() {
+            self.write_sealed_queue(st)
+        } else {
+            Ok(Drain::default())
+        };
+        // Noted after the drain: verification may have re-placed the block,
+        // which still sits on the block the entrymap writer opened last.
+        let db = st.emap.next_block() - 1;
         st.emap.note_block(db, ob.ids.iter().copied());
         st.stats.note_sealed_block(padding, TRAILER_SIZE);
-        Ok(db)
+        drained.map(|d| (db, d))
+    }
+
+    /// How many sealed blocks may wait in memory before the sealing
+    /// appender writes them out. Under verification it is one, so a block
+    /// that fails its read-back is always the last one opened and can
+    /// still move.
+    fn queue_bound(&self) -> usize {
+        if self.cfg.verify_appends {
+            1
+        } else {
+            self.cfg.max_batch_blocks.max(1)
+        }
     }
 
     /// Drains the sealed queue onto the active volume in vectored writes of
-    /// at most `max_batch_blocks` blocks each. Returns `(device_writes,
-    /// blocks_written)`. On a device error the unwritten suffix (as
-    /// resynchronised from the device end) is re-queued, so a later commit
-    /// or flush retries it.
-    pub(crate) fn write_sealed_queue(&self, st: &mut State) -> Result<(u64, u64)> {
+    /// at most `queue_bound()` blocks each — the one place a block reaches
+    /// the medium. With `verify_appends` each written block is read back
+    /// and, if corrupt, re-placed at the next block. On a device error the
+    /// unwritten suffix (as resynchronised from the device end) stays
+    /// queued, so a later commit or flush retries it.
+    pub(crate) fn write_sealed_queue(&self, st: &mut State) -> Result<Drain> {
+        let mut drained = Drain::default();
         if st.sealed_queue.is_empty() {
-            return Ok((0, 0));
+            return Ok(drained);
         }
         let vol = self.seq.volume(st.active_index)?;
-        let queue = std::mem::take(&mut st.sealed_queue);
-        let total = queue.len() as u64;
-        let chunk_blocks = self.cfg.max_batch_blocks.max(1);
-        let mut writes = 0u64;
-        let mut written = 0usize;
-        for chunk in queue.chunks(chunk_blocks) {
-            let first_db = chunk[0].db;
-            let images: Vec<std::sync::Arc<Vec<u8>>> =
-                chunk.iter().map(|b| b.image.clone()).collect();
+        let mut attempts = 0u64;
+        while let Some(first) = st.sealed_queue.first() {
+            let first_db = first.db;
+            let n = st.sealed_queue.len().min(self.queue_bound());
+            let images: Vec<std::sync::Arc<Vec<u8>>> = st.sealed_queue[..n]
+                .iter()
+                .map(|b| b.image.clone())
+                .collect();
             if let Err(e) = vol.append_data_blocks(first_db, &images) {
                 // Torn batch: the volume resynchronised its end to what
                 // actually landed. (On a tail-staging device the end can
                 // overshoot by the staged block; in-tree pools never stack
                 // a tail over a tearing device.)
-                let landed = vol
-                    .data_end()
-                    .saturating_sub(first_db)
-                    .min(chunk.len() as u64) as usize;
-                st.sealed_queue = queue[written + landed..].to_vec();
+                let landed = vol.data_end().saturating_sub(first_db).min(n as u64) as usize;
+                st.sealed_queue.drain(..landed);
                 return Err(e);
             }
-            writes += 1;
-            written += chunk.len();
+            drained.writes += 1;
+            if self.cfg.verify_appends {
+                // The bound is one block, so the batch is just `first_db`.
+                match vol.read_data_block_direct(first_db) {
+                    Ok(back) if back[..] != images[0][..] => {
+                        attempts += 1;
+                        self.replace_corrupt(st, &vol, attempts)?;
+                        continue;
+                    }
+                    Ok(_) => attempts = 0,
+                    Err(e) => {
+                        st.sealed_queue.drain(..n);
+                        return Err(e);
+                    }
+                }
+            }
+            st.sealed_queue.drain(..n);
+            drained.blocks += n as u64;
         }
-        Ok((writes, total))
+        Ok(drained)
     }
 
-    /// The commit stage of the group-commit pipeline (state lock held):
-    /// stages the current partial block (NV tail rewrite where supported,
-    /// early seal otherwise), drains the sealed queue in batched writes,
+    /// The queue head was "written with garbage" (§2.3.2): invalidates it,
+    /// notes it for the bad-block log, and moves the queued image to the
+    /// next block, displacing any entrymap records due there. Only the
+    /// block the entrymap writer opened last can move.
+    fn replace_corrupt(
+        &self,
+        st: &mut State,
+        vol: &clio_volume::Volume,
+        attempts: u64,
+    ) -> Result<()> {
+        let db = st.sealed_queue[0].db;
+        if attempts > MAX_REPLACEMENTS {
+            return Err(ClioError::Internal(
+                "append corruption persists; giving up on this device".into(),
+            ));
+        }
+        if db + 1 != st.emap.next_block() {
+            return Err(ClioError::Internal(format!(
+                "corrupt block {db} is no longer the last one opened; cannot re-place it"
+            )));
+        }
+        vol.invalidate_data_block(db)?;
+        st.pending_badblocks.push(db);
+        if db + 1 >= vol.data_capacity() {
+            return Err(ClioError::VolumeFull);
+        }
+        st.emap.note_block(db, std::iter::empty());
+        let recs = st.emap.begin_block(db + 1);
+        st.carryover.extend(recs);
+        st.pending_snap = std::sync::Arc::new(st.emap.pending().clone());
+        st.sealed_queue[0].db = db + 1;
+        Ok(())
+    }
+
+    /// Makes everything buffered on this shard durable (state lock held) —
+    /// the commit stage of the group-commit pipeline, and the one
+    /// durability routine for forced appends, flushes and catalog records.
+    /// Seals the partial block early (or stages it in the device's NV RAM
+    /// tail where supported), drains the sealed queue in batched writes,
     /// and records the batch metrics. On error the covered forced count is
     /// restored so a retrying leader accounts for the same appends.
     pub(crate) fn commit_locked(&self, st: &mut State) -> Result<()> {
         let covered = std::mem::take(&mut st.staged_forced);
+        match self.commit_blocks(st) {
+            Ok(d) => {
+                if d.writes > 0 || covered > 0 {
+                    self.obs.note_group_commit(d.blocks, covered, d.writes);
+                    self.pshard.commits.inc();
+                    self.pshard.commit_batch_blocks.record(d.blocks);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                st.staged_forced += covered;
+                Err(e)
+            }
+        }
+    }
+
+    /// The device side of [`Shard::commit_locked`]: what the queue drains
+    /// and the tail rewrite, if any, wrote.
+    fn commit_blocks(&self, st: &mut State) -> Result<Drain> {
         let vol = self.seq.volume(st.active_index)?;
         let mut tail_stage = None;
+        let mut drained = Drain::default();
         if let Some(ob) = st.open.as_mut() {
             if vol.supports_tail_rewrite() {
                 tail_stage = Some((ob.db, ob.builder.finish()));
             } else if !ob.builder.is_empty() {
+                // Sealing an empty block would only waste write-once space.
                 ob.builder.flags_mut().sealed_early = true;
-                self.seal_open(st)?;
+                drained = self.seal_open(st)?.1;
             }
         }
         // Queue first, tail second: the tail rewrite targets the block
         // right after the queued ones, and the device only accepts a tail
         // at its write-once end.
-        let (writes, blocks) = match self.write_sealed_queue(st) {
-            Ok(x) => x,
-            Err(e) => {
-                st.staged_forced += covered;
-                return Err(e);
-            }
-        };
-        let mut tail_writes = 0u64;
+        let rest = self.write_sealed_queue(st)?;
+        drained.writes += rest.writes;
+        drained.blocks += rest.blocks;
         if let Some((db, img)) = tail_stage {
-            if let Err(e) = vol.rewrite_tail_data(db, img) {
-                st.staged_forced += covered;
-                return Err(e);
-            }
+            vol.rewrite_tail_data(db, img)?;
             if let Some(ob) = st.open.as_mut() {
                 ob.staged = true;
             }
-            tail_writes = 1;
+            drained.writes += 1;
         }
-        if writes + tail_writes > 0 || covered > 0 {
-            self.obs
-                .note_group_commit(blocks, covered, writes + tail_writes);
-            self.pshard.commits.inc();
-            self.pshard.commit_batch_blocks.record(blocks);
-        }
-        Ok(())
-    }
-
-    /// Forces everything buffered to stable storage through whichever
-    /// pipeline is active: a full commit in group mode, `persist_open` on
-    /// the legacy path (where the sealed queue is always empty).
-    pub(crate) fn persist_all(&self, st: &mut State) -> Result<()> {
-        if self.group_commit_on() {
-            self.commit_locked(st)
-        } else {
-            self.persist_open(st).map(|_| ())
-        }
-    }
-
-    /// Makes the open block durable: staged to the device's battery-backed
-    /// RAM tail when available, otherwise sealed early with internal
-    /// fragmentation (§2.3.1). Returns the open/sealed block, or `None` if
-    /// nothing was open.
-    pub(crate) fn persist_open(&self, st: &mut State) -> Result<Option<u64>> {
-        let Some(ob) = st.open.as_mut() else {
-            return Ok(None);
-        };
-        let vol = self.seq.volume(st.active_index)?;
-        if vol.supports_tail_rewrite() {
-            let img = ob.builder.finish();
-            vol.rewrite_tail_data(ob.db, img)?;
-            ob.staged = true;
-            return Ok(Some(ob.db));
-        }
-        if ob.builder.is_empty() {
-            // Nothing buffered — sealing an empty block would only waste
-            // write-once space.
-            return Ok(Some(ob.db));
-        }
-        ob.builder.flags_mut().sealed_early = true;
-        Ok(Some(self.seal_open(st)?))
+        Ok(drained)
     }
 
     /// Logs queued bad-block records (§2.3.2: the corrupted block's

@@ -15,13 +15,9 @@ use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
 fn spawn_server() -> LogServer {
-    // Group commit pinned on (not left to the CLIO_GROUP_COMMIT A/B
-    // env): the span-tree acceptance below is about the commit-gate
-    // pipeline, which the legacy path doesn't have. Two append domains,
-    // so the per-shard series carry both labels.
+    // Two append domains, so the per-shard series carry both labels.
     let cfg = ServiceConfig::small()
         .with_shards(2)
-        .with_group_commit(true)
         .with_http_addr("127.0.0.1:0");
     let svc = LogService::create(
         VolumeSeqId(9),
@@ -229,6 +225,17 @@ fn metrics_exposition_is_valid_prometheus_with_per_log_labels() {
         ] {
             assert!(body.contains(&series), "missing {series} in:\n{body}");
         }
+        // The crash-loss gauge: one integer line per shard, within the
+        // sealed-queue bound.
+        let prefix = format!("clio_core_sealed_queue_blocks{{shard=\"{s}\"}} ");
+        let queued: i64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("missing {prefix} in:\n{body}"))
+            .parse()
+            .expect("integer gauge value");
+        let bound = ServiceConfig::small().max_batch_blocks as i64;
+        assert!((0..=bound).contains(&queued), "queue gauge {queued}");
     }
 
     // The JSON form serves the same labeled series.

@@ -192,3 +192,141 @@ fn crash_never_loses_forced_prefix() {
         }
     });
 }
+
+/// One operation of the verified-append receipt property.
+#[derive(Debug, Clone)]
+enum VerifiedOp {
+    Append {
+        log: u8,
+        len: u16,
+        forced: bool,
+    },
+    Batch {
+        items: u8,
+        forced: bool,
+    },
+    /// Arm the fault injector to garble the next `n` device appends.
+    Corrupt(u8),
+    Flush,
+}
+
+fn arb_verified_op() -> Gen<VerifiedOp> {
+    let append = {
+        let log = u8s(0..2);
+        let len = u16s(1..600);
+        let forced = bools();
+        Gen::new(move |src| VerifiedOp::Append {
+            log: log.generate(src),
+            len: len.generate(src),
+            forced: forced.generate(src),
+        })
+    };
+    let batch = {
+        let items = u8s(1..5);
+        let forced = bools();
+        Gen::new(move |src| VerifiedOp::Batch {
+            items: items.generate(src),
+            forced: forced.generate(src),
+        })
+    };
+    weighted(vec![
+        (8, append),
+        (2, batch),
+        // Up to seven failures in a row: the re-placement limit.
+        (2, u8s(0..8).map(VerifiedOp::Corrupt)),
+        (1, just(VerifiedOp::Flush)),
+    ])
+}
+
+/// With append verification on and corruption injected at random, every
+/// receipt — buffered, forced or batched, issued before its block was
+/// re-placed — reads back its own payload, and cursor scans return each
+/// log in append order.
+#[test]
+fn receipts_read_back_under_verification() {
+    use clio_device::{FaultPlan, FaultyDevice, SharedDevice};
+    use clio_testkit::sync::Mutex;
+    use clio_volume::RecordingPool;
+
+    let g = vec_of(&arb_verified_op(), 1..100);
+    check("receipts_read_back_under_verification", 24, &g, |ops| {
+        let slot = Arc::new(Mutex::new(None));
+        let captured = slot.clone();
+        let pool =
+            RecordingPool::wrapping(Arc::new(MemDevicePool::new(256, 1 << 14)), move |base| {
+                let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
+                *captured.lock() = Some(faulty.clone());
+                faulty as SharedDevice
+            });
+        let svc = LogService::create(
+            VolumeSeqId(1),
+            Arc::new(pool),
+            ServiceConfig::small().with_verified_appends(),
+            Arc::new(ManualClock::starting_at(Timestamp::from_secs(1))),
+        )
+        .expect("create service");
+        let faulty: Arc<FaultyDevice> = slot.lock().clone().expect("device opened");
+        let paths = ["/a", "/b"];
+        for p in paths {
+            svc.create_log(p).expect("create log");
+        }
+        let mut logs: [Vec<Vec<u8>>; 2] = [Vec::new(), Vec::new()];
+        let mut receipts = Vec::new();
+        let mut counter = 0u32;
+        let mut payload = |len: usize| {
+            counter += 1;
+            let mut p = format!("{counter}:").into_bytes();
+            p.resize(len.max(p.len()), b'v');
+            p
+        };
+        let opts = |forced: bool| {
+            if forced {
+                AppendOpts::forced()
+            } else {
+                AppendOpts::standard()
+            }
+        };
+        for op in ops {
+            match op {
+                VerifiedOp::Append { log, len, forced } => {
+                    let data = payload(usize::from(*len));
+                    let r = svc
+                        .append_path(paths[usize::from(*log)], &data, opts(*forced))
+                        .expect("append");
+                    assert_eq!(svc.read_entry(r.addr).expect("read").data, data);
+                    logs[usize::from(*log)].push(data.clone());
+                    receipts.push((r, data));
+                }
+                VerifiedOp::Batch { items, forced } => {
+                    let batch: Vec<(String, Vec<u8>)> = (0..usize::from(*items))
+                        .map(|i| (paths[i % 2].to_owned(), payload(40 + 30 * i)))
+                        .collect();
+                    let rs = svc
+                        .append_batch(&batch, opts(*forced))
+                        .expect("append batch");
+                    for (i, (r, (_, data))) in rs.into_iter().zip(batch).enumerate() {
+                        logs[i % 2].push(data.clone());
+                        receipts.push((r, data));
+                    }
+                }
+                VerifiedOp::Corrupt(n) => faulty.corrupt_next_appends(u32::from(*n)),
+                VerifiedOp::Flush => svc.flush().expect("flush"),
+            }
+        }
+        for (r, data) in &receipts {
+            let e = svc.read_entry(r.addr).expect("read receipt");
+            assert_eq!(&e.data, data, "receipt {:?}", r.addr);
+        }
+        for (path, want) in paths.iter().zip(&logs) {
+            let got: Vec<Vec<u8>> = svc
+                .cursor(path)
+                .expect("cursor")
+                .collect_remaining()
+                .expect("scan")
+                .into_iter()
+                .map(|e| e.data)
+                .collect();
+            assert_eq!(&got, want, "{path} scan order");
+        }
+    });
+}

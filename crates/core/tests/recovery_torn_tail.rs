@@ -125,8 +125,7 @@ fn torn_group_commit_batch_recovers_a_consistent_prefix() {
     let mut saw_full_batch = false;
     for k in 0..=MAX_TEAR {
         let (pool, handles) = faulty_pool(256, 1 << 14);
-        // Force the group path regardless of the CLIO_GROUP_COMMIT A/B env.
-        let cfg = ServiceConfig::small().with_group_commit(true);
+        let cfg = ServiceConfig::small();
         let mut oracle: Vec<Vec<u8>> = Vec::new();
         let mut flushed_receipts = Vec::new();
         let torn = {

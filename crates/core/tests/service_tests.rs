@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, Durability, LogService};
 use clio_core::{ServiceConfig, Uio, UioSeek};
-use clio_device::{FaultPlan, FaultyDevice, MemWormDevice, RamTailDevice, SharedDevice};
+use clio_device::{CrashSwitch, FaultPlan, FaultyDevice, RamTailDevice, SharedDevice};
 use clio_types::{ClioError, LogFileId, ManualClock, SeqNo, Timestamp, VolumeSeqId};
-use clio_volume::{DevicePool, MemDevicePool, RecordingPool};
+use clio_volume::{MemDevicePool, RecordingPool};
 
 fn clock() -> Arc<ManualClock> {
     Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)))
@@ -319,6 +319,59 @@ fn forced_entries_survive_a_crash_pure_worm() {
     assert_eq!(cur.collect_remaining().unwrap().len(), 26);
 }
 
+/// Regression: a receipt whose block was torn by a crash must not read
+/// back an unrelated entry. Recovery invalidates the torn block and the
+/// next appends land right after it; without append verification nothing
+/// is ever re-placed, so the reader must not follow the invalidated block
+/// onto its successor (the whole-system simulator found this).
+#[test]
+fn regression_torn_receipt_does_not_alias_a_later_entry() {
+    let sw = CrashSwitch::new(7);
+    let switch = sw.clone();
+    let pool = Arc::new(RecordingPool::wrapping(
+        Arc::new(MemDevicePool::new(256, 4096)),
+        move |base| {
+            Arc::new(FaultyDevice::with_switch(
+                base,
+                FaultPlan::default(),
+                switch.clone(),
+            )) as SharedDevice
+        },
+    ));
+    let ck = clock();
+    let svc = LogService::create(
+        VolumeSeqId(9),
+        pool.clone(),
+        ServiceConfig::small(),
+        ck.clone(),
+    )
+    .unwrap();
+    svc.create_log("/t").unwrap();
+    let lost = svc
+        .append_path("/t", b"lost", AppendOpts::standard())
+        .unwrap();
+    // The flush's block write is torn: garbage lands, then the crash.
+    sw.arm(1, true);
+    assert!(svc.flush().is_err());
+    drop(svc);
+    sw.clear();
+
+    let (svc, report) =
+        LogService::recover(pool.devices(), pool.clone(), ServiceConfig::small(), ck).unwrap();
+    assert!(!report.invalidated.is_empty(), "the torn block was cut off");
+    for i in 0..8u32 {
+        svc.append_path("/t", format!("new{i}").as_bytes(), AppendOpts::forced())
+            .unwrap();
+    }
+    match svc.read_entry(lost.addr) {
+        Err(_) => {}
+        Ok(e) => panic!(
+            "lost receipt read back {:?}",
+            String::from_utf8_lossy(&e.data)
+        ),
+    }
+}
+
 #[test]
 fn ram_tail_staging_avoids_fragmentation_and_survives() {
     let pool = capturing_pool(256, 4096, true);
@@ -431,36 +484,44 @@ fn multi_volume_spanning() {
     assert!(svc.resolve("/span").is_ok());
 }
 
+/// A single-shard service with append verification over a fault
+/// injector, plus the injector wrapping its (only) volume's device.
+fn verified_service_on_faulty_device() -> (LogService, Arc<FaultyDevice>) {
+    let slot = Arc::new(clio_testkit::sync::Mutex::new(None));
+    let captured = slot.clone();
+    let pool = RecordingPool::wrapping(Arc::new(MemDevicePool::new(256, 4096)), move |base| {
+        let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
+        *captured.lock() = Some(faulty.clone());
+        faulty as SharedDevice
+    });
+    let cfg = ServiceConfig::small().with_verified_appends();
+    let svc = LogService::create(VolumeSeqId(6), Arc::new(pool), cfg, clock()).unwrap();
+    let faulty = slot.lock().clone().expect("the service opened a device");
+    (svc, faulty)
+}
+
+/// Entries of the bad-block log, after a flush.
+fn bad_block_entries(svc: &LogService) -> usize {
+    svc.flush().unwrap();
+    let mut cur = svc.cursor("/").unwrap();
+    cur.collect_remaining()
+        .unwrap()
+        .into_iter()
+        .filter(|e| e.id == LogFileId::BAD_BLOCK)
+        .count()
+}
+
 #[test]
 fn corruption_is_invalidated_and_other_data_survives() {
     // A fault injector corrupts one append; with verification on, the
     // service invalidates the block, re-places it, and logs a bad block.
-    struct OneShotPool {
-        dev: clio_testkit::sync::Mutex<Option<SharedDevice>>,
-        faulty: clio_testkit::sync::Mutex<Option<Arc<FaultyDevice>>>,
-    }
-    impl DevicePool for OneShotPool {
-        fn next_device(&self) -> clio_types::Result<SharedDevice> {
-            let base: SharedDevice = Arc::new(MemWormDevice::new(256, 4096));
-            let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
-            *self.faulty.lock() = Some(faulty.clone());
-            let dev: SharedDevice = faulty;
-            *self.dev.lock() = Some(dev.clone());
-            Ok(dev)
-        }
-    }
-    let pool = Arc::new(OneShotPool {
-        dev: clio_testkit::sync::Mutex::new(None),
-        faulty: clio_testkit::sync::Mutex::new(None),
-    });
-    let cfg = ServiceConfig::small().with_verified_appends();
-    let svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg.clone(), clock()).unwrap();
+    let (svc, faulty) = verified_service_on_faulty_device();
     svc.create_log("/d").unwrap();
     svc.append_path("/d", b"before", AppendOpts::forced())
         .unwrap();
 
     // Corrupt exactly the next device append.
-    pool.faulty.lock().as_ref().unwrap().corrupt_next_append();
+    faulty.corrupt_next_append();
     let r = svc
         .append_path("/d", b"critical", AppendOpts::forced())
         .unwrap();
@@ -483,15 +544,110 @@ fn corruption_is_invalidated_and_other_data_survives() {
     );
 
     // The bad block was recorded in the bad-block log (§2.3.2).
-    svc.flush().unwrap();
-    let mut cur = svc.cursor("/").unwrap();
-    let bad_entries: Vec<_> = cur
-        .collect_remaining()
-        .unwrap()
-        .into_iter()
-        .filter(|e| e.id == LogFileId::BAD_BLOCK)
-        .collect();
-    assert_eq!(bad_entries.len(), 1);
+    assert_eq!(bad_block_entries(&svc), 1);
+}
+
+#[test]
+fn receipt_reads_back_after_its_block_is_replaced_many_times() {
+    // Verification re-places a failing block up to seven times. Receipts
+    // are issued before that happens (buffered ones when the entry is
+    // staged, forced ones before the commit writes), so reading a receipt
+    // must follow the invalidated block across every re-placement.
+    for (corrupt, forced) in [(4u32, false), (7, false), (4, true), (7, true)] {
+        let (svc, faulty) = verified_service_on_faulty_device();
+        svc.create_log("/d").unwrap();
+        svc.append_path("/d", b"before", AppendOpts::forced())
+            .unwrap();
+        let r = if forced {
+            faulty.corrupt_next_appends(corrupt);
+            svc.append_path("/d", b"critical", AppendOpts::forced())
+                .unwrap()
+        } else {
+            let r = svc
+                .append_path("/d", b"critical", AppendOpts::standard())
+                .unwrap();
+            faulty.corrupt_next_appends(corrupt);
+            svc.flush().unwrap();
+            r
+        };
+        let e = svc.read_entry(r.addr).unwrap();
+        assert_eq!(e.data, b"critical", "corrupt={corrupt} forced={forced}");
+        assert_eq!(
+            e.addr.block.0,
+            r.addr.block.0 + u64::from(corrupt),
+            "the block landed after {corrupt} re-placements"
+        );
+        svc.append_path("/d", b"after", AppendOpts::forced())
+            .unwrap();
+        let all: Vec<Vec<u8>> = svc
+            .cursor("/d")
+            .unwrap()
+            .collect_remaining()
+            .unwrap()
+            .into_iter()
+            .map(|e| e.data)
+            .collect();
+        assert_eq!(
+            all,
+            vec![b"before".to_vec(), b"critical".to_vec(), b"after".to_vec()]
+        );
+        assert_eq!(bad_block_entries(&svc), corrupt as usize);
+    }
+}
+
+#[test]
+fn buffered_blocks_reach_the_device_when_the_queue_fills() {
+    // §2.3.1 write-when-full: buffered entries are written once their
+    // blocks fill, without waiting for a flush. The sealed queue holds at
+    // most `max_batch_blocks` blocks, and the per-shard gauge shows it.
+    const BOUND: usize = 4;
+    let cfg = ServiceConfig {
+        max_batch_blocks: BOUND,
+        ..ServiceConfig::small()
+    };
+    let svc = LogService::create(
+        VolumeSeqId(1),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        cfg,
+        clock(),
+    )
+    .unwrap();
+    svc.create_log("/w").unwrap();
+    let queued = || -> i64 {
+        svc.metrics()
+            .gather()
+            .into_iter()
+            .find(|s| s.identity() == "clio_core_sealed_queue_blocks{shard=\"0\"}")
+            .map(|s| match s.value {
+                clio_obs::MetricValue::Gauge(v) => v,
+                other => panic!("queue gauge is not a gauge: {other:?}"),
+            })
+            .expect("queue gauge is registered")
+    };
+    let device_end = || svc.volumes().active().data_end();
+    let start = device_end();
+    let mut i = 0u32;
+    while device_end() < start + 4 * BOUND as u64 {
+        let mut payload = format!("w{i}:").into_bytes();
+        payload.resize(100, b'w');
+        svc.append_path("/w", &payload, AppendOpts::standard())
+            .unwrap();
+        let q = queued();
+        assert!(
+            (0..=BOUND as i64).contains(&q),
+            "queue gauge {q} outside 0..={BOUND}"
+        );
+        i += 1;
+        assert!(i < 1_000, "buffered blocks never reached the device");
+    }
+    // Everything sealed is on the device except at most a queue's worth.
+    let sealed = svc.report().blocks_sealed;
+    assert!(
+        sealed - device_end() <= BOUND as u64,
+        "{sealed} blocks sealed, {} written",
+        device_end()
+    );
+    assert_eq!(sealed - device_end(), queued() as u64);
 }
 
 #[test]

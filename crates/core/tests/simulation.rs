@@ -16,7 +16,9 @@
 //! against the log model with per-append-domain durability: the service
 //! runs with two shards and the two top-level logs route to different
 //! domains, so per-shard recovery and cross-shard batch atomicity are
-//! both under test. The seed-sweep width is `CLIO_SIM_SEEDS` (default 5;
+//! both under test. A small sealed-queue bound makes buffered blocks reach
+//! the medium within a few seals, so the buffered-loss rule has something
+//! to check. The seed-sweep width is `CLIO_SIM_SEEDS` (default 5;
 //! CI's storm pass uses 25).
 
 use std::collections::HashMap;
@@ -43,6 +45,9 @@ const LOG_PATHS: [&str; 2] = ["/alpha", "/beta"];
 const SHARDS: usize = 2;
 /// Segments per run; every segment but the last ends in a crash+recovery.
 const SEGMENTS: usize = 3;
+/// The service's `max_batch_blocks`: small, so a crash can lose at most a
+/// few blocks of buffered entries and the buffered-loss rule bites.
+const QUEUE_BOUND: usize = 2;
 
 /// Log index → shard map for the checker, from the service's own routing.
 fn shard_map(svc: &LogService) -> std::collections::BTreeMap<u32, u32> {
@@ -145,6 +150,9 @@ fn run_segment(
     steps: usize,
 ) -> bool {
     let mut cursors: HashMap<u32, OpenCursor<'_>> = HashMap::new();
+    // Half the segments rarely force, so buffered entries pile up over
+    // many blocks between commits — what the buffered-loss rule checks.
+    let forced_p = if sched.rng().gen_bool(0.5) { 0.3 } else { 0.02 };
     for _ in 0..steps {
         let client = sched.pick();
         let now = sched.now_us();
@@ -153,7 +161,7 @@ fn run_segment(
         if roll < 45 {
             // ---- Append ----
             let log = sched.rng().gen_range(0..LOG_PATHS.len() as u32);
-            let forced = sched.rng().gen_bool(0.3);
+            let forced = sched.rng().gen_bool(forced_p);
             let with_seqno = !forced && sched.rng().gen_bool(0.25);
             let len = sched.rng().gen_range(18..120usize);
             let value = drv.next_value;
@@ -196,7 +204,7 @@ fn run_segment(
             // append domains; semantics are per-shard-atomic, which the
             // per-item receipt events model exactly.
             let n = sched.rng().gen_range(2..5usize);
-            let forced = sched.rng().gen_bool(0.3);
+            let forced = sched.rng().gen_bool(forced_p);
             let first = sched.rng().gen_range(0..LOG_PATHS.len() as u32);
             let mut items = Vec::with_capacity(n);
             let mut meta = Vec::with_capacity(n);
@@ -457,6 +465,7 @@ fn run_sim_traced(seed: u64) -> (History, String, std::collections::BTreeMap<u32
         fanout: 4,
         cache_blocks: 128,
         shards: SHARDS,
+        max_batch_blocks: QUEUE_BOUND,
         ..ServiceConfig::default()
     };
 
@@ -532,7 +541,7 @@ fn storm_width() -> u64 {
 
 fn check_seed(seed: u64) {
     let (history, shards) = run_sim(seed);
-    if let Err(v) = check_history_with_shards(&history, &shards) {
+    if let Err(v) = check_history_with_shards(&history, &shards, Some(QUEUE_BOUND as u64)) {
         panic!(
             "simulation violated the log model: {v}\n\
              history tail:\n{}\n\
@@ -649,7 +658,8 @@ fn sim_broken_double_is_caught_and_replays() {
             }
         }
         assert!(broke, "seed produced no recovery scan to sabotage");
-        let v = check_history_with_shards(&h, &shards).expect_err("sabotaged history must fail");
+        let v = check_history_with_shards(&h, &shards, Some(QUEUE_BOUND as u64))
+            .expect_err("sabotaged history must fail");
         assert!(
             v.rule == "recovery-prefix" || v.rule == "final-scan",
             "unexpected rule {}",
@@ -706,5 +716,57 @@ fn regression_sim_lost_forced_append_is_durable_loss() {
         let v = check_history(h).expect_err("checker accepted a lost forced append");
         assert_eq!(v.rule, "durable-loss");
         assert_eq!(v.index, 2, "violation must anchor at the recovery event");
+    });
+}
+
+/// Regression: the canonical buffered-loss counterexample. Buffered
+/// appends land in blocks 0..=5, nothing is ever forced, and only block
+/// 0's entry survives the crash. With a queue bound of 2 only the open
+/// block and two queued blocks (plus one block of fragment slack) may
+/// vanish, so block 1's entry was on the medium and the checker must
+/// blame `buffered-loss` at the recovery event. Without a bound the same
+/// history is legal — that is why the storm passes the bound in.
+#[test]
+fn regression_sim_lost_old_buffered_append_is_buffered_loss() {
+    let mut h = History::default();
+    for block in 0..6u64 {
+        h.push(
+            block + 1,
+            0,
+            EventKind::Call {
+                op: Op::Append {
+                    log: 0,
+                    value: block + 1,
+                    forced: false,
+                    seqno: None,
+                },
+                result: Ok(Outcome::Receipt {
+                    addr: Addr {
+                        vol: 0,
+                        block,
+                        slot: 0,
+                    },
+                    ts: block + 1,
+                }),
+            },
+        );
+    }
+    h.push(7, SYSTEM, EventKind::Crash);
+    h.push(
+        8,
+        SYSTEM,
+        EventKind::Recovered {
+            scans: vec![LogScan {
+                log: 0,
+                values: vec![1],
+            }],
+        },
+    );
+    clio_testkit::prop::check_case("sim_lost_old_buffered_append", &h, |h| {
+        assert_eq!(check_history(h), Ok(()), "unbounded loss is legal");
+        let v = check_history_with_shards(h, &std::collections::BTreeMap::new(), Some(2))
+            .expect_err("checker accepted the loss of block 1");
+        assert_eq!(v.rule, "buffered-loss");
+        assert_eq!(v.index, 7, "violation must anchor at the recovery event");
     });
 }

@@ -213,17 +213,28 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        self.gauge_with(name, &[])
+    }
+
+    /// The gauge series `name{labels…}`, creating it if absent.
+    ///
+    /// # Panics
+    /// Panics if the series is already registered as a different kind.
+    #[must_use]
+    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+        let labels = owned_labels(labels);
+        let key = identity(name, &labels);
         let mut m = self.metrics.lock();
         match &m
-            .entry(name.to_owned())
+            .entry(key.clone())
             .or_insert_with(|| Entry {
-                labels: Vec::new(),
+                labels,
                 metric: Metric::Gauge(Arc::new(Gauge::default())),
             })
             .metric
         {
             Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric {name} is not a gauge"),
+            _ => panic!("metric {key} is not a gauge"),
         }
     }
 

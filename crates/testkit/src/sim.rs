@@ -33,6 +33,11 @@
 //!   cut point: the crash makes it *indeterminate*);
 //! * **durable-loss** — everything acknowledged at or before the last
 //!   *forced* acknowledgement survives every crash;
+//! * **buffered-loss** — with a sealed-queue bound `b` (see
+//!   [`check_history_with_shards`]), every acknowledged entry whose
+//!   receipt lies more than `b + 1` blocks behind its shard's last
+//!   receipt, or on an earlier volume, survives every crash: a crash
+//!   loses at most the open block plus `b` queued blocks;
 //! * **unique-id** — a unique-id lookup finds an entry iff it is live,
 //!   and returns its exact value;
 //! * **final-scan** — after a clean shutdown flush, a full scan equals
@@ -432,6 +437,9 @@ struct LogState {
     /// Number of leading `live` entries guaranteed durable (everything
     /// acknowledged at or before the last forced acknowledgement).
     durable: usize,
+    /// Receipts of the entries past the durable floor: `receipts[i]` is
+    /// where `live[durable + i]` was acknowledged.
+    receipts: Vec<Addr>,
     /// Values of appends that *failed* (the crash made them
     /// indeterminate): each may or may not have reached the medium, in
     /// append order after `live`.
@@ -459,7 +467,7 @@ struct CursorState {
 /// partitioned into shards, use [`check_history_with_shards`].
 #[must_use = "a checker verdict must be examined"]
 pub fn check_history(h: &History) -> Result<(), Violation> {
-    check_history_with_shards(h, &BTreeMap::new())
+    check_history_with_shards(h, &BTreeMap::new(), None)
 }
 
 /// [`check_history`] for a sharded service: `shard_of` maps each log id
@@ -470,13 +478,23 @@ pub fn check_history(h: &History) -> Result<(), Violation> {
 /// domain has its own open block and device write stream; entries
 /// buffered in other shards stay volatile until their own shard forces.
 /// Every other rule is per log and unaffected by sharding.
+///
+/// `queue_bound` turns on the **buffered-loss** rule for a service whose
+/// sealed queue holds at most that many blocks per shard (its
+/// `max_batch_blocks`). Without a bound a crash may lose every unforced
+/// entry; with one it may lose only the open block and the queue, so an
+/// entry more than `queue_bound + 1` blocks behind its shard's last
+/// receipt must survive. (The extra block covers an entry whose tail
+/// fragment spills into the next block.)
 #[must_use = "a checker verdict must be examined"]
 pub fn check_history_with_shards(
     h: &History,
     shard_of: &BTreeMap<u32, u32>,
+    queue_bound: Option<u64>,
 ) -> Result<(), Violation> {
     Checker {
         shard_of: shard_of.clone(),
+        queue_bound,
         ..Checker::default()
     }
     .run(h)
@@ -492,6 +510,10 @@ struct Checker {
     by_seqno: BTreeMap<(u32, u32), u64>,
     /// Log id → append domain (absent = shard 0; empty = unsharded).
     shard_of: BTreeMap<u32, u32>,
+    /// Sealed-queue bound for the buffered-loss rule (`None` = off).
+    queue_bound: Option<u64>,
+    /// Append domain → its most recent receipt since the last recovery.
+    shard_last: BTreeMap<u32, Addr>,
 }
 
 impl Checker {
@@ -500,6 +522,10 @@ impl Checker {
             self.step(i, e)?;
         }
         Ok(())
+    }
+
+    fn shard(&self, log: u32) -> u32 {
+        self.shard_of.get(&log).copied().unwrap_or(0)
     }
 
     fn fail(i: usize, rule: &'static str, detail: String) -> Result<(), Violation> {
@@ -577,19 +603,22 @@ impl Checker {
                 }
                 st.last_receipt = Some((*addr, *ts));
                 st.live.push(*value);
+                st.receipts.push(*addr);
                 if let Some(sq) = seqno {
                     self.by_seqno.insert((*log, *sq), *value);
                 }
+                let shard = self.shard(*log);
+                self.shard_last.insert(shard, *addr);
                 if *forced {
                     // A forced acknowledgement persists every entry staged
                     // before it in the same append domain: raise the
                     // durable floors of same-shard logs (with no shard map
                     // every log is in domain 0, so all floors rise).
-                    let shard = self.shard_of.get(log).copied().unwrap_or(0);
                     let shard_of = &self.shard_of;
                     for (l, s) in &mut self.logs {
                         if shard_of.get(l).copied().unwrap_or(0) == shard {
                             s.durable = s.live.len();
+                            s.receipts.clear();
                         }
                     }
                 }
@@ -721,6 +750,8 @@ impl Checker {
 
     fn recovered(&mut self, i: usize, scans: &[LogScan]) -> Result<(), Violation> {
         for scan in scans {
+            let last = self.shard_last.get(&self.shard(scan.log)).copied();
+            let queue_bound = self.queue_bound;
             let st = self.logs.entry(scan.log).or_default();
             // What may legally exist on the medium: the acknowledged live
             // sequence, optionally extended by appends the crash left
@@ -753,8 +784,34 @@ impl Checker {
                     ),
                 );
             }
+            if let (Some(bound), Some(last)) = (queue_bound, last) {
+                // Receipts ascend within a log, so the entries far enough
+                // behind the shard's last receipt form a prefix.
+                let far = st
+                    .receipts
+                    .iter()
+                    .take_while(|a| a.vol < last.vol || a.block + bound + 1 < last.block)
+                    .count();
+                let must = st.durable + far;
+                if scan.values.len() < must {
+                    return Self::fail(
+                        i,
+                        "buffered-loss",
+                        format!(
+                            "log {}: only {} entries survived but {} lay more than {} \
+                             blocks behind the shard's last receipt {last} (lost: {:?})",
+                            scan.log,
+                            scan.values.len(),
+                            must,
+                            bound + 1,
+                            &st.live[scan.values.len()..must]
+                        ),
+                    );
+                }
+            }
             st.live = scan.values.clone();
             st.durable = st.live.len();
+            st.receipts.clear();
             st.indeterminate.clear();
             // The open block (and its receipts) died with the server; the
             // next acknowledged append re-establishes the order baseline.
@@ -784,6 +841,7 @@ impl Checker {
             .flat_map(|s| s.live.iter().copied())
             .collect();
         self.by_addr.retain(|_, v| surviving.contains(v));
+        self.shard_last.clear();
         Ok(())
     }
 
@@ -944,6 +1002,46 @@ mod tests {
             },
         );
         assert_eq!(check_history(&h), Ok(()));
+    }
+
+    #[test]
+    fn buffered_loss_is_bounded_by_the_queue() {
+        // Bound 2: the last receipt is in block 6, so entries in blocks
+        // below 3 must survive; blocks 3..=6 may vanish.
+        let history = |survivors: Vec<u64>, last_vol: u32| {
+            let mut h = History::default();
+            for (k, block) in [0u64, 2, 3, 5].into_iter().enumerate() {
+                append_ok(&mut h, 0, 1, 10 + k as u64, false, a(0, block, 0));
+            }
+            append_ok(&mut h, 0, 2, 20, false, a(last_vol, 6, 0));
+            h.push(5, SYSTEM, EventKind::Crash);
+            h.push(
+                6,
+                SYSTEM,
+                EventKind::Recovered {
+                    scans: vec![
+                        LogScan {
+                            log: 1,
+                            values: survivors,
+                        },
+                        LogScan {
+                            log: 2,
+                            values: vec![],
+                        },
+                    ],
+                },
+            );
+            h
+        };
+        let bounded = |h: &History| check_history_with_shards(h, &BTreeMap::new(), Some(2));
+        assert_eq!(bounded(&history(vec![10, 11], 0)), Ok(()));
+        assert_eq!(check_history(&history(vec![10], 0)), Ok(()));
+        let v = bounded(&history(vec![10], 0)).expect_err("block 2 lies 4 behind block 6");
+        assert_eq!((v.rule, v.index), ("buffered-loss", 6));
+        // Entries on an earlier volume than the last receipt must survive.
+        let v = bounded(&history(vec![10, 11, 12], 1)).expect_err("volume 0 was drained");
+        assert_eq!(v.rule, "buffered-loss");
+        assert_eq!(bounded(&history(vec![10, 11, 12, 13], 1)), Ok(()));
     }
 
     #[test]
@@ -1127,11 +1225,11 @@ mod tests {
         // Different shards: log 2's force does not cover log 1's buffered
         // entry, so the loss is legal.
         let split = BTreeMap::from([(1, 0), (2, 1)]);
-        assert_eq!(check_history_with_shards(&h, &split), Ok(()));
+        assert_eq!(check_history_with_shards(&h, &split, None), Ok(()));
         // Same shard: the force covers it and the loss is a violation
         // (matching the unsharded checker on this history).
         let joined = BTreeMap::from([(1, 1), (2, 1)]);
-        let v = check_history_with_shards(&h, &joined).expect_err("must fail");
+        let v = check_history_with_shards(&h, &joined, None).expect_err("must fail");
         assert_eq!(v.rule, "durable-loss");
         assert_eq!(
             check_history(&h).expect_err("must fail").rule,
