@@ -83,16 +83,14 @@ fn run_threads(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let shards = args
-        .iter()
+    let shards = std::env::args()
         .find_map(|a| a.strip_prefix("--shards=").and_then(|v| v.parse().ok()))
         .unwrap_or(8usize);
     let mut report = Report::new(
         "conc_read",
         "Concurrent read scaling — immutable snapshots + sharded block cache",
     );
+    let quick = report.quick();
 
     let entries: u64 = if quick { 800 } else { 4_000 };
     let ops: u64 = if quick { 4_000 } else { 40_000 };

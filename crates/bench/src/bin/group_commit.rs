@@ -20,20 +20,8 @@ use clio_bench::report::Report;
 use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
-use clio_obs::{MetricValue, MetricsRegistry};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
-
-fn counter(reg: &MetricsRegistry, name: &str) -> u64 {
-    for s in reg.gather() {
-        if s.name == name {
-            if let MetricValue::Counter(v) = s.value {
-                return v;
-            }
-        }
-    }
-    0
-}
 
 struct RoundResult {
     appends: u64,
@@ -65,9 +53,16 @@ fn run_round(threads: usize, ops: u64) -> RoundResult {
     }
     svc.flush().expect("flush setup");
 
+    let saved = svc.metrics().counter("clio_core_forced_writes_saved_total");
+    let commits: Vec<_> = (0..svc.shard_count())
+        .map(|s| {
+            svc.metrics()
+                .counter_with("clio_shard_commits_total", &[("shard", &s.to_string())])
+        })
+        .collect();
+    let batches = || commits.iter().map(|c| c.get()).sum::<u64>();
     let before = svc.obs().device_stats.snapshot();
-    let saved_before = counter(svc.metrics(), "clio_core_forced_writes_saved_total");
-    let batches_before = counter(svc.metrics(), "clio_core_group_commit_batches_total");
+    let (saved_before, batches_before) = (saved.get(), batches());
     let barrier = Arc::new(Barrier::new(threads + 1));
     let mut handles = Vec::new();
     for t in 0..threads {
@@ -94,20 +89,17 @@ fn run_round(threads: usize, ops: u64) -> RoundResult {
         appends: threads as u64 * ops,
         device_writes: after.write_ops().saturating_sub(before.write_ops()),
         secs,
-        writes_saved: counter(svc.metrics(), "clio_core_forced_writes_saved_total")
-            .saturating_sub(saved_before),
-        batches: counter(svc.metrics(), "clio_core_group_commit_batches_total")
-            .saturating_sub(batches_before),
+        writes_saved: saved.get() - saved_before,
+        batches: batches() - batches_before,
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let mut report = Report::new(
         "group_commit",
         "Group commit — forced appends coalesced into vectored device writes",
     );
+    let quick = report.quick();
 
     let ops: u64 = if quick { 200 } else { 2_000 };
     let thread_counts: &[usize] = &[1, 2, 4, 8];

@@ -98,13 +98,13 @@ fn flag_value(args: &[String], name: &str) -> Option<usize> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let logs = flag_value(&args, "logs").unwrap_or(8).max(1);
     let single = flag_value(&args, "shards");
     let mut report = Report::new(
         "multi_shard",
         "Sharded append domains — forced-append scaling across 1/2/4/8 shards",
     );
+    let quick = report.quick();
 
     let ops: u64 = if quick { 300 } else { 3_000 };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);

@@ -65,12 +65,11 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let mut report = Report::new(
         "obs_http",
         "Ops plane — scrape latency of the HTTP observability endpoint under append load",
     );
+    let quick = report.quick();
 
     let scrapes_per_route: usize = if quick { 25 } else { 400 };
     let appenders: usize = 2;

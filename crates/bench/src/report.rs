@@ -3,7 +3,9 @@
 //! Every bench binary prints its human-readable tables as before; when
 //! invoked with `--json` it *additionally* writes `BENCH_<name>.json` to
 //! the current directory so results can be diffed, plotted, or checked in
-//! CI without scraping the text tables. The file is a single JSON object:
+//! CI without scraping the text tables. `--quick`, read from the same
+//! arguments, asks a harness for its shrunk CI smoke workload. The file is
+//! a single JSON object:
 //!
 //! ```json
 //! {
@@ -30,11 +32,12 @@ pub struct Report {
     tables: Vec<(String, Value)>,
     notes: Vec<Value>,
     json: bool,
+    quick: bool,
 }
 
 impl Report {
-    /// Creates a report for the binary `name`, reading `--json` from the
-    /// process arguments.
+    /// Creates a report for the binary `name`, reading `--json` and
+    /// `--quick` from the process arguments.
     #[must_use]
     pub fn new(name: &str, title: &str) -> Report {
         Report::from_args(name, title, std::env::args().skip(1))
@@ -42,7 +45,11 @@ impl Report {
 
     /// As [`Report::new`], but with explicit arguments (for tests).
     pub fn from_args(name: &str, title: &str, args: impl IntoIterator<Item = String>) -> Report {
-        let json = args.into_iter().any(|a| a == "--json");
+        let (mut json, mut quick) = (false, false);
+        for a in args {
+            json |= a == "--json";
+            quick |= a == "--quick";
+        }
         Report {
             name: name.to_owned(),
             title: title.to_owned(),
@@ -50,6 +57,7 @@ impl Report {
             tables: Vec::new(),
             notes: Vec::new(),
             json,
+            quick,
         }
     }
 
@@ -57,6 +65,12 @@ impl Report {
     #[must_use]
     pub fn json_enabled(&self) -> bool {
         self.json
+    }
+
+    /// Whether `--quick` (the shrunk smoke workload) was requested.
+    #[must_use]
+    pub fn quick(&self) -> bool {
+        self.quick
     }
 
     /// Records a named scalar result.
@@ -129,6 +143,10 @@ mod tests {
         assert!(on.json_enabled());
         let off = Report::from_args("x", "t", Vec::new());
         assert!(!off.json_enabled());
+        assert!(!off.quick());
+        let quick = Report::from_args("x", "t", vec!["--quick".to_owned()]);
+        assert!(quick.quick());
+        assert!(!quick.json_enabled());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
@@ -77,10 +77,7 @@ pub struct ServiceObs {
     locates: Arc<Counter>,
     creates: Arc<Counter>,
     view_publishes: Arc<Counter>,
-    group_commit_batches: Arc<Counter>,
     forced_writes_saved: Arc<Counter>,
-    /// Blocks written per group-commit batch (log2 buckets).
-    pub group_commit_batch_blocks: Arc<Histogram>,
 }
 
 impl ServiceObs {
@@ -89,8 +86,7 @@ impl ServiceObs {
     #[must_use]
     pub fn new(trace_events: usize) -> Arc<ServiceObs> {
         let registry = Arc::new(MetricsRegistry::new());
-        let device_stats = DeviceStats::new();
-        device_stats.register_into(&registry);
+        let device_stats = DeviceStats::new(&registry);
         let trace = Arc::new(TraceRing::new(trace_events));
         if trace.capacity() > 0 {
             device_stats.attach_trace(trace.clone());
@@ -112,9 +108,7 @@ impl ServiceObs {
             locates: registry.counter("clio_core_locates_total"),
             creates: registry.counter("clio_core_creates_total"),
             view_publishes: registry.counter("clio_core_view_publishes_total"),
-            group_commit_batches: registry.counter("clio_core_group_commit_batches_total"),
             forced_writes_saved: registry.counter("clio_core_forced_writes_saved_total"),
-            group_commit_batch_blocks: registry.histogram("clio_core_group_commit_batch_blocks"),
             registry,
         })
     }
@@ -208,20 +202,19 @@ impl ServiceObs {
         }
     }
 
-    /// Records a `read_entry`'s latency and counters; the trace side is
-    /// the caller's root `read` span.
-    pub fn note_read(&self, target: Option<LogFileId>, dur: Duration, ok: bool) {
-        if ok {
-            self.reads.inc();
-            self.read_latency.record_duration(dur);
-            if let Some(id) = target {
-                let per_log = self.per_log(id);
-                per_log.reads.inc();
-                per_log.read_ns.record_duration(dur);
-            }
-        } else {
-            self.read_errors.inc();
-        }
+    /// Records a read that returned an entry of `id`: its latency and
+    /// counters. The trace side is the caller's root `read` span.
+    pub fn note_read(&self, id: LogFileId, dur: Duration) {
+        self.reads.inc();
+        self.read_latency.record_duration(dur);
+        let per_log = self.per_log(id);
+        per_log.reads.inc();
+        per_log.read_ns.record_duration(dur);
+    }
+
+    /// Counts a failed read.
+    pub fn note_read_error(&self) {
+        self.read_errors.inc();
     }
 
     /// Records one entrymap locate search from its [`LocateStats`].
@@ -259,14 +252,11 @@ impl ServiceObs {
         self.view_publishes.inc();
     }
 
-    /// Records one group-commit batch: how many blocks it wrote, how many
-    /// staged forced appends it covered, and how many physical device
-    /// writes it took. "Writes saved" is the forced appends covered beyond
-    /// the device writes the batch actually issued (a lone forced append
-    /// commits with one write and saves nothing).
-    pub fn note_group_commit(&self, blocks: u64, forced_covered: u64, device_writes: u64) {
-        self.group_commit_batches.inc();
-        self.group_commit_batch_blocks.record(blocks);
+    /// Counts the device writes one commit saved: the staged forced
+    /// appends it covered beyond the physical writes it issued (a lone
+    /// forced append commits with one write and saves nothing). The
+    /// commit itself is counted per shard, in `clio_shard_commits_total`.
+    pub fn note_writes_saved(&self, forced_covered: u64, device_writes: u64) {
         let saved = forced_covered.saturating_sub(device_writes.max(1));
         if saved > 0 {
             self.forced_writes_saved.add(saved);
@@ -322,12 +312,6 @@ impl ServiceObs {
     pub fn instrument_device(&self, dev: SharedDevice) -> SharedDevice {
         Arc::new(InstrumentedDevice::new(dev, self.device_stats.clone()))
     }
-
-    /// A timer for one traced span.
-    #[must_use]
-    pub fn start_span(&self) -> Instant {
-        clio_obs::clock::now()
-    }
 }
 
 /// A [`DevicePool`] decorator wrapping every handed-out device in an
@@ -366,7 +350,7 @@ mod tests {
         let obs = ServiceObs::new(16);
         obs.note_append(LogFileId(8), Duration::from_micros(10), true);
         obs.note_append(LogFileId(8), Duration::from_micros(5), false);
-        obs.note_read(Some(LogFileId(8)), Duration::from_micros(3), true);
+        obs.note_read(LogFileId(8), Duration::from_micros(3));
         let stats = LocateStats {
             blocks_read: 4,
             map_entries_examined: 3,
@@ -410,6 +394,6 @@ mod tests {
         let pool = InstrumentingPool::new(Arc::new(MemDevicePool::new(64, 8)), obs.clone());
         let dev = pool.next_device().unwrap();
         dev.append_block(BlockNo(0), &[0u8; 64]).unwrap();
-        assert_eq!(obs.device_stats.snapshot().appends, 1);
+        assert_eq!(obs.registry().counter("clio_device_appends_total").get(), 1);
     }
 }

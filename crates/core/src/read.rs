@@ -65,55 +65,54 @@ impl Entry {
 }
 
 /// A per-volume [`BlockSource`] over one snapshot: the volume's sealed
-/// blocks plus (for the active volume) the snapshot's frozen open-block
-/// image and `data_end` watermark.
-pub(crate) struct VolSource {
+/// blocks plus, for the active volume, what the snapshot holds in memory.
+pub(crate) struct VolSource<'v> {
     vol: Arc<Volume>,
-    open: Option<(u64, Arc<Vec<u8>>)>,
-    /// Blocks sealed in memory but not yet written to the device (the
-    /// snapshot's group-commit queue), ordered by data block. Served like
-    /// sealed blocks; they sit past the device watermark.
-    queued: Vec<(u64, Arc<Vec<u8>>)>,
-    /// The snapshot's sealed-data watermark for the active volume; sealed
-    /// volumes read their (final, immutable) device value instead.
-    watermark: Option<u64>,
+    /// The snapshot, when this source covers its active volume. Its
+    /// frozen open-block image, its queue of blocks sealed in memory but
+    /// not yet written (served like sealed blocks, past the device
+    /// watermark) and its `data_end` watermark are read in place. Sealed
+    /// volumes read their final, immutable device watermark instead.
+    active: Option<&'v ReadView>,
     fanout: usize,
 }
 
-impl VolSource {
+impl VolSource<'_> {
     /// The open (unsealed) block's number, if this source covers one. Its
     /// entries are not yet reflected in any entrymap bitmap — the writer
     /// notes a block only when it seals — so scans must visit it
     /// explicitly.
     fn open_db(&self) -> Option<u64> {
-        self.open.as_ref().map(|(db, _)| *db)
+        self.active?.open.as_ref().map(|(db, _)| *db)
     }
 }
 
-impl BlockSource for VolSource {
+impl BlockSource for VolSource<'_> {
     fn fanout(&self) -> usize {
         self.fanout
     }
 
     fn data_end(&self) -> u64 {
-        let mut end = self.watermark.unwrap_or_else(|| self.vol.data_end());
-        if let Some((db, _)) = self.queued.last() {
-            end = end.max(db + 1);
-        }
-        match &self.open {
-            Some((db, _)) => end.max(db + 1),
-            None => end,
-        }
+        let Some(view) = self.active else {
+            return self.vol.data_end();
+        };
+        let queued = view.queued.last().map(|(db, _)| db + 1);
+        let open = view.open.as_ref().map(|(db, _)| db + 1);
+        view.active_data_end
+            .max(queued.unwrap_or(0))
+            .max(open.unwrap_or(0))
     }
 
     fn read(&self, db: u64) -> Result<Arc<Vec<u8>>> {
-        if let Some((odb, img)) = &self.open {
-            if *odb == db {
-                return Ok(img.clone());
+        if let Some(view) = self.active {
+            if let Some((odb, img)) = &view.open {
+                if *odb == db {
+                    return Ok(img.clone());
+                }
             }
-        }
-        if let Ok(i) = self.queued.binary_search_by_key(&db, |(qdb, _)| *qdb) {
-            return Ok(self.queued[i].1.clone());
+            if let Ok(i) = view.queued.binary_search_by_key(&db, |(qdb, _)| *qdb) {
+                return Ok(view.queued[i].1.clone());
+            }
         }
         self.vol.read_data_block(db)
     }
@@ -121,23 +120,11 @@ impl BlockSource for VolSource {
 
 impl Shard {
     /// A block source over one volume of the snapshot, including the open
-    /// block when the volume is active.
-    pub(crate) fn source_for(&self, view: &ReadView, vol_idx: u32) -> Result<VolSource> {
-        let vol = self.seq.volume(vol_idx)?;
-        let (open, queued, watermark) = if vol_idx == view.active_index {
-            (
-                view.open.clone(),
-                view.queued.clone(),
-                Some(view.active_data_end),
-            )
-        } else {
-            (None, Vec::new(), None)
-        };
+    /// block and the sealed queue when the volume is active.
+    pub(crate) fn source_for<'v>(&self, view: &'v ReadView, vol_idx: u32) -> Result<VolSource<'v>> {
         Ok(VolSource {
-            vol,
-            open,
-            queued,
-            watermark,
+            vol: self.seq.volume(vol_idx)?,
+            active: (vol_idx == view.active_index).then_some(view),
             fanout: usize::from(self.cfg.fanout),
         })
     }
@@ -160,27 +147,34 @@ impl Shard {
     /// operates on the current read snapshot). Records the read span and
     /// metrics.
     pub(crate) fn read_entry(&self, addr: EntryAddr) -> Result<Entry> {
+        self.read_spanned(|| self.read_entry_in(&self.read_view(), addr))
+    }
+
+    /// Times `op` as one `read` span; latency, counters and outcome land
+    /// in the service registry and trace ring. `T` is an [`Entry`] or, for
+    /// a cursor step, an `Option<Entry>`. Only a step that returns an
+    /// entry counts as a read: an exhausted cursor step is neither a read
+    /// nor an error.
+    fn read_spanned<T>(&self, op: impl FnOnce() -> Result<T>) -> Result<T>
+    where
+        for<'e> &'e T: Into<Option<&'e Entry>>,
+    {
         let start = clio_obs::clock::now();
-        let before = self.obs.device_stats.snapshot().reads;
         let mut span = self.obs.span("read");
-        let view = self.read_view();
-        let r = self.read_entry_in(&view, addr);
-        let blocks = self
-            .obs
-            .device_stats
-            .snapshot()
-            .reads
-            .saturating_sub(before);
-        if let Ok(e) = r.as_ref() {
-            span.set_target(u64::from(e.id.0));
+        let r = op();
+        match r.as_ref().map(Into::into) {
+            Ok(Some(e)) => {
+                span.set_target(u64::from(e.id.0));
+                drop(span);
+                self.obs.note_read(e.id, start.elapsed());
+            }
+            Ok(None) => {}
+            Err(_) => {
+                span.fail("error");
+                drop(span);
+                self.obs.note_read_error();
+            }
         }
-        span.attr("blocks", blocks);
-        if r.is_err() {
-            span.fail("error");
-        }
-        drop(span);
-        self.obs
-            .note_read(r.as_ref().ok().map(|e| e.id), start.elapsed(), r.is_ok());
         r
     }
 
@@ -621,42 +615,14 @@ pub(crate) struct ShardCursor<'a> {
 impl ShardCursor<'_> {
     /// The next entry at or after the cursor, advancing it.
     pub(crate) fn next(&mut self) -> Result<Option<Entry>> {
-        self.spanned(Self::next_inner)
+        let svc = self.svc;
+        svc.read_spanned(|| self.next_inner())
     }
 
     /// The entry before the cursor, moving it backward.
     pub(crate) fn prev(&mut self) -> Result<Option<Entry>> {
-        self.spanned(Self::prev_inner)
-    }
-
-    /// Times `op` as one read span: device blocks touched, latency and
-    /// outcome all land in the service registry and trace ring.
-    fn spanned(
-        &mut self,
-        op: impl FnOnce(&mut Self) -> Result<Option<Entry>>,
-    ) -> Result<Option<Entry>> {
-        let start = clio_obs::clock::now();
-        let before = self.svc.obs.device_stats.snapshot().reads;
-        let mut span = self.svc.obs.span("read");
-        let r = op(self);
-        let blocks = self
-            .svc
-            .obs
-            .device_stats
-            .snapshot()
-            .reads
-            .saturating_sub(before);
-        let target = r.as_ref().ok().and_then(|e| e.as_ref().map(|e| e.id));
-        if let Some(id) = target {
-            span.set_target(u64::from(id.0));
-        }
-        span.attr("blocks", blocks);
-        if r.is_err() {
-            span.fail("error");
-        }
-        drop(span);
-        self.svc.obs.note_read(target, start.elapsed(), r.is_ok());
-        r
+        let svc = self.svc;
+        svc.read_spanned(|| self.prev_inner())
     }
 
     fn next_inner(&mut self) -> Result<Option<Entry>> {

@@ -470,15 +470,7 @@ impl Shard {
         span.attr("bytes", data.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
-        let before = self.obs.device_stats.snapshot().accesses();
         let r = self.append_inner(id, data, opts);
-        let blocks = self
-            .obs
-            .device_stats
-            .snapshot()
-            .accesses()
-            .saturating_sub(before);
-        span.attr("blocks", blocks);
         if r.is_err() {
             span.fail("error");
         }

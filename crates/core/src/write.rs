@@ -456,9 +456,9 @@ impl Shard {
         match self.commit_blocks(st) {
             Ok(d) => {
                 if d.writes > 0 || covered > 0 {
-                    self.obs.note_group_commit(d.blocks, covered, d.writes);
                     self.pshard.commits.inc();
                     self.pshard.commit_batch_blocks.record(d.blocks);
+                    self.obs.note_writes_saved(covered, d.writes);
                 }
                 Ok(())
             }

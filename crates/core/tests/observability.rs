@@ -251,9 +251,22 @@ fn flush_republishes_when_only_the_sealed_queue_advanced() {
         "flush did not republish the read snapshot"
     );
     assert!(counter(svc.metrics(), "clio_device_appends_total") > device_appends_before);
-    // Group-commit collectors saw the batch.
-    assert!(counter(svc.metrics(), "clio_core_group_commit_batches_total") >= 1);
-    assert!(histogram(svc.metrics(), "clio_core_group_commit_batch_blocks").count >= 1);
+    // The shard's commit series saw the batch.
+    let shard = svc.shard_of(svc.resolve("/q").unwrap()).to_string();
+    let labels: &[(&str, &str)] = &[("shard", &shard)];
+    assert!(
+        svc.metrics()
+            .counter_with("clio_shard_commits_total", labels)
+            .get()
+            >= 1
+    );
+    assert!(
+        svc.metrics()
+            .histogram_with("clio_shard_commit_batch_blocks", labels)
+            .snapshot()
+            .count
+            >= 1
+    );
 
     // An idempotent flush still republishes (watermark already current).
     let publishes = counter(svc.metrics(), "clio_core_view_publishes_total");
@@ -263,4 +276,139 @@ fn flush_republishes_when_only_the_sealed_queue_advanced() {
     // Everything reads back after the flush.
     let mut cur = svc.cursor("/q").unwrap();
     assert_eq!(cur.collect_remaining().unwrap().len(), 12);
+}
+
+#[test]
+fn only_cursor_steps_that_return_an_entry_count_as_reads() {
+    let svc = LogService::create(
+        VolumeSeqId(1),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        ServiceConfig::small(),
+        clock(),
+    )
+    .unwrap();
+    let id = svc.create_log("/r").unwrap();
+    for i in 0..3u8 {
+        svc.append(id, &[i; 8], AppendOpts::forced()).unwrap();
+    }
+    let reads = || counter(svc.metrics(), "clio_core_reads_total");
+    let per_log = || {
+        svc.metrics()
+            .counter_with("clio_log_reads_total", &[("log", &id.0.to_string())])
+            .get()
+    };
+
+    // Three entries, then one exhausted step: three reads.
+    let mut cur = svc.cursor("/r").unwrap();
+    assert_eq!(cur.collect_remaining().unwrap().len(), 3);
+    assert_eq!(reads(), 3);
+    assert!(cur.next().unwrap().is_none());
+    assert_eq!(reads(), 3, "an exhausted forward step is not a read");
+    assert_eq!(
+        histogram(svc.metrics(), "clio_core_read_latency_ns").count,
+        3
+    );
+
+    // Backward to the start, then one step past it.
+    let mut cur = svc.cursor_from_end("/r").unwrap();
+    while cur.prev().unwrap().is_some() {}
+    assert_eq!(reads(), 6, "an exhausted backward step is not a read");
+    assert_eq!(per_log(), 6);
+    assert_eq!(counter(svc.metrics(), "clio_core_read_errors_total"), 0);
+}
+
+/// Every `clio_device_*`, `clio_core_*` and `clio_shard_*` family on
+/// `/metrics`, with its kind, after forced appends on every shard of the
+/// default configuration plus reads. Changing this set changes what
+/// dashboards and benches can scrape.
+const GOLDEN_FAMILIES: &[(&str, &str)] = &[
+    ("clio_core_append_errors_total", "counter"),
+    ("clio_core_append_latency_ns", "histogram"),
+    ("clio_core_appends_total", "counter"),
+    ("clio_core_creates_total", "counter"),
+    ("clio_core_forced_writes_saved_total", "counter"),
+    ("clio_core_locate_blocks", "histogram"),
+    ("clio_core_locate_depth", "histogram"),
+    ("clio_core_locate_latency_ns", "histogram"),
+    ("clio_core_locates_total", "counter"),
+    ("clio_core_read_errors_total", "counter"),
+    ("clio_core_read_latency_ns", "histogram"),
+    ("clio_core_reads_total", "counter"),
+    ("clio_core_sealed_queue_blocks", "gauge"),
+    ("clio_core_view_publishes_total", "counter"),
+    ("clio_device_append_batch_blocks", "histogram"),
+    ("clio_device_append_batch_latency_ns", "histogram"),
+    ("clio_device_append_errors_total", "counter"),
+    ("clio_device_append_latency_ns", "histogram"),
+    ("clio_device_appends_total", "counter"),
+    ("clio_device_batch_appends_total", "counter"),
+    ("clio_device_end_probes_total", "counter"),
+    ("clio_device_invalidate_errors_total", "counter"),
+    ("clio_device_invalidations_total", "counter"),
+    ("clio_device_probe_errors_total", "counter"),
+    ("clio_device_probe_latency_ns", "histogram"),
+    ("clio_device_read_errors_total", "counter"),
+    ("clio_device_read_latency_ns", "histogram"),
+    ("clio_device_reads_total", "counter"),
+    ("clio_device_tail_rewrite_errors_total", "counter"),
+    ("clio_device_tail_rewrites_total", "counter"),
+    ("clio_shard_appends_total", "counter"),
+    ("clio_shard_commit_batch_blocks", "histogram"),
+    ("clio_shard_commits_total", "counter"),
+    ("clio_shard_leader_elections_total", "counter"),
+];
+
+#[test]
+fn default_service_exposes_the_golden_metric_families() {
+    let cfg = ServiceConfig::default();
+    let shards = cfg.shards;
+    let svc = LogService::create(
+        VolumeSeqId(1),
+        Arc::new(MemDevicePool::new(cfg.block_size, 4096)),
+        cfg,
+        clock(),
+    )
+    .unwrap();
+    // Create logs until every shard owns one, then force an append to each.
+    let mut owned = vec![None; shards];
+    for i in 0.. {
+        if owned.iter().all(Option::is_some) {
+            break;
+        }
+        let path = format!("/g{i}");
+        let id = svc.create_log(&path).unwrap();
+        owned[svc.shard_of(id) as usize].get_or_insert((id, path));
+    }
+    for (id, path) in owned.into_iter().flatten() {
+        let r = svc.append(id, b"golden", AppendOpts::forced()).unwrap();
+        assert_eq!(svc.read_entry(r.addr).unwrap().data, b"golden");
+        assert_eq!(
+            svc.cursor(&path)
+                .unwrap()
+                .collect_remaining()
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+
+    let text = svc.metrics_text();
+    let mut families: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_once(' '))
+        .filter(|(name, _)| {
+            ["clio_device_", "clio_core_", "clio_shard_"]
+                .iter()
+                .any(|p| name.starts_with(p))
+        })
+        .collect();
+    families.sort_unstable();
+    assert_eq!(families, GOLDEN_FAMILIES);
+
+    // Every shard's forced append reached the device, and `/metrics`
+    // reads the same counter as the device stats snapshot.
+    let appends = svc.obs().device_stats.snapshot().appends;
+    assert!(appends >= shards as u64);
+    assert_eq!(counter(svc.metrics(), "clio_device_appends_total"), appends);
 }

@@ -16,7 +16,7 @@
 //!   the device, so the most recent partial block stays rewriteable until
 //!   sealed (§2.3.1);
 //! - [`InstrumentedDevice`]: a wrapper counting block reads, appends and
-//!   seeks, which benchmarks convert into modelled 1987 latencies;
+//!   probes into `clio-obs` metrics;
 //! - [`FaultyDevice`]: a fault-injection wrapper that corrupts blocks, to
 //!   exercise the recovery paths of §2.3.
 //!

@@ -1,58 +1,52 @@
 //! Device instrumentation.
 //!
 //! Every evaluation number in the paper reduces to counts of physical device
-//! operations (block reads, appends, seeks) times per-operation costs.
+//! operations (block reads, appends) times per-operation costs.
 //! [`InstrumentedDevice`] wraps any [`LogDevice`] and counts those operations
 //! so that the benchmark harness can report both raw counts and modelled
-//! latencies (see `clio-sim`). Successful and failed operations are counted
-//! separately — fault-injection runs assert on the error counters — and
-//! each op kind feeds a wall-clock latency [`Histogram`].
+//! latencies (see `clio-sim`, whose `TimedDevice` models head seeks per
+//! device). Successful and failed operations are counted separately —
+//! fault-injection runs assert on the error counters — and each op kind
+//! feeds a wall-clock latency [`Histogram`]. Every counter and histogram is
+//! a `clio_device_*` handle taken from the service's [`MetricsRegistry`],
+//! so `/metrics` and [`DeviceStats::snapshot`] read the same values.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use clio_obs::{Histogram, MetricsRegistry, TraceRing};
+use clio_obs::{Counter, Histogram, MetricsRegistry, TraceRing};
 use clio_types::{BlockNo, Result};
 
 use crate::traits::{LogDevice, SharedDevice};
 
-/// Shared operation counters for one device.
-#[derive(Debug, Default)]
+/// Shared operation counters for every device of one service.
+#[derive(Debug)]
 pub struct DeviceStats {
     /// When attached, device writes (single-block and vectored) record
     /// `device_write` spans here, nesting under whatever operation span is
     /// open on the writing thread. Write-once only; reads are traced at
     /// the service layer (per-block read spans would flood the ring).
     trace: OnceLock<Arc<TraceRing>>,
-    reads: AtomicU64,
-    appends: AtomicU64,
-    invalidations: AtomicU64,
-    tail_rewrites: AtomicU64,
-    end_probes: AtomicU64,
-    read_errors: AtomicU64,
-    append_errors: AtomicU64,
-    invalidate_errors: AtomicU64,
-    tail_rewrite_errors: AtomicU64,
-    probe_errors: AtomicU64,
-    /// Number of operations whose block was not at or adjacent to the
-    /// previous operation's block (a head seek on a physical drive).
-    seeks: AtomicU64,
-    /// Sum of absolute seek distances in blocks.
-    seek_distance: AtomicU64,
-    /// Position of the last access; -1 means "no access yet".
-    last_pos: AtomicI64,
+    reads: Arc<Counter>,
+    appends: Arc<Counter>,
+    invalidations: Arc<Counter>,
+    tail_rewrites: Arc<Counter>,
+    end_probes: Arc<Counter>,
+    read_errors: Arc<Counter>,
+    append_errors: Arc<Counter>,
+    invalidate_errors: Arc<Counter>,
+    tail_rewrite_errors: Arc<Counter>,
+    probe_errors: Arc<Counter>,
     /// Vectored `append_blocks` batches issued (each is one physical device
     /// write regardless of how many blocks it carries).
-    batch_appends: AtomicU64,
-    /// Blocks written through vectored batches (also counted in `appends`).
-    batch_blocks: AtomicU64,
+    batch_appends: Arc<Counter>,
     /// Wall-clock latency of successful block reads, in nanoseconds.
     pub read_latency_ns: Arc<Histogram>,
     /// Wall-clock latency of successful block appends, in nanoseconds.
     pub append_latency_ns: Arc<Histogram>,
     /// Wall-clock latency of `is_written` probes, in nanoseconds.
     pub probe_latency_ns: Arc<Histogram>,
-    /// Blocks per successful vectored batch.
+    /// Blocks per successful vectored batch; its sum is every block
+    /// written through a batch.
     pub append_batch_blocks: Arc<Histogram>,
     /// Wall-clock latency of successful vectored batches, in nanoseconds.
     pub append_batch_latency_ns: Arc<Histogram>,
@@ -81,10 +75,6 @@ pub struct StatsSnapshot {
     pub tail_rewrite_errors: u64,
     /// Failed `is_written` probes.
     pub probe_errors: u64,
-    /// Non-sequential accesses (head seeks).
-    pub seeks: u64,
-    /// Total seek distance in blocks.
-    pub seek_distance: u64,
     /// Vectored batches issued.
     pub batch_appends: u64,
     /// Blocks written through vectored batches.
@@ -92,12 +82,6 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total physical block accesses (reads + appends + probes).
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.appends + self.end_probes
-    }
-
     /// Physical write operations to the device: single-block appends plus
     /// one per vectored batch, however many blocks the batch carried. The
     /// group-commit benchmark's appends-per-device-write ratio divides
@@ -122,27 +106,41 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "reads={} appends={} probes={} invalidations={} tail_rewrites={} \
-             seeks={} seek_dist={} errors={}",
+            "reads={} appends={} probes={} invalidations={} tail_rewrites={} errors={}",
             self.reads,
             self.appends,
             self.end_probes,
             self.invalidations,
             self.tail_rewrites,
-            self.seeks,
-            self.seek_distance,
             self.errors()
         )
     }
 }
 
 impl DeviceStats {
-    /// Creates a fresh, zeroed stats block.
+    /// Takes the `clio_device_*` counters and histograms from `reg`.
     #[must_use]
-    pub fn new() -> Arc<DeviceStats> {
+    pub fn new(reg: &MetricsRegistry) -> Arc<DeviceStats> {
+        let counter = |name: &str| reg.counter(&format!("clio_device_{name}"));
+        let histogram = |name: &str| reg.histogram(&format!("clio_device_{name}"));
         Arc::new(DeviceStats {
-            last_pos: AtomicI64::new(-1),
-            ..DeviceStats::default()
+            trace: OnceLock::new(),
+            reads: counter("reads_total"),
+            appends: counter("appends_total"),
+            invalidations: counter("invalidations_total"),
+            tail_rewrites: counter("tail_rewrites_total"),
+            end_probes: counter("end_probes_total"),
+            read_errors: counter("read_errors_total"),
+            append_errors: counter("append_errors_total"),
+            invalidate_errors: counter("invalidate_errors_total"),
+            tail_rewrite_errors: counter("tail_rewrite_errors_total"),
+            probe_errors: counter("probe_errors_total"),
+            batch_appends: counter("batch_appends_total"),
+            read_latency_ns: histogram("read_latency_ns"),
+            append_latency_ns: histogram("append_latency_ns"),
+            probe_latency_ns: histogram("probe_latency_ns"),
+            append_batch_blocks: histogram("append_batch_blocks"),
+            append_batch_latency_ns: histogram("append_batch_latency_ns"),
         })
     }
 
@@ -161,115 +159,25 @@ impl DeviceStats {
         Some(span)
     }
 
-    fn touch(&self, block: BlockNo) {
-        let pos = block.0 as i64;
-        let prev = self.last_pos.swap(pos, Ordering::Relaxed);
-        if prev >= 0 {
-            let dist = (pos - prev).unsigned_abs();
-            // Sequential (same or next block) accesses do not seek.
-            if dist > 1 {
-                self.seeks.fetch_add(1, Ordering::Relaxed);
-                self.seek_distance.fetch_add(dist, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Copies the counters.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            tail_rewrites: self.tail_rewrites.load(Ordering::Relaxed),
-            end_probes: self.end_probes.load(Ordering::Relaxed),
-            read_errors: self.read_errors.load(Ordering::Relaxed),
-            append_errors: self.append_errors.load(Ordering::Relaxed),
-            invalidate_errors: self.invalidate_errors.load(Ordering::Relaxed),
-            tail_rewrite_errors: self.tail_rewrite_errors.load(Ordering::Relaxed),
-            probe_errors: self.probe_errors.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
-            seek_distance: self.seek_distance.load(Ordering::Relaxed),
-            batch_appends: self.batch_appends.load(Ordering::Relaxed),
-            batch_blocks: self.batch_blocks.load(Ordering::Relaxed),
+            reads: self.reads.get(),
+            appends: self.appends.get(),
+            invalidations: self.invalidations.get(),
+            tail_rewrites: self.tail_rewrites.get(),
+            end_probes: self.end_probes.get(),
+            read_errors: self.read_errors.get(),
+            append_errors: self.append_errors.get(),
+            invalidate_errors: self.invalidate_errors.get(),
+            tail_rewrite_errors: self.tail_rewrite_errors.get(),
+            probe_errors: self.probe_errors.get(),
+            batch_appends: self.batch_appends.get(),
+            batch_blocks: self.append_batch_blocks.snapshot().sum,
         }
-    }
-
-    /// Zeroes all counters (and forgets the head position). Latency
-    /// histograms are reset too.
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.appends.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.tail_rewrites.store(0, Ordering::Relaxed);
-        self.end_probes.store(0, Ordering::Relaxed);
-        self.read_errors.store(0, Ordering::Relaxed);
-        self.append_errors.store(0, Ordering::Relaxed);
-        self.invalidate_errors.store(0, Ordering::Relaxed);
-        self.tail_rewrite_errors.store(0, Ordering::Relaxed);
-        self.probe_errors.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.seek_distance.store(0, Ordering::Relaxed);
-        self.last_pos.store(-1, Ordering::Relaxed);
-        self.batch_appends.store(0, Ordering::Relaxed);
-        self.batch_blocks.store(0, Ordering::Relaxed);
-        self.read_latency_ns.reset();
-        self.append_latency_ns.reset();
-        self.probe_latency_ns.reset();
-        self.append_batch_blocks.reset();
-        self.append_batch_latency_ns.reset();
-    }
-
-    /// Registers every counter and latency histogram into `reg` under the
-    /// `clio_device_*` namespace.
-    pub fn register_into(self: &Arc<DeviceStats>, reg: &MetricsRegistry) {
-        type Field = fn(&StatsSnapshot) -> u64;
-        let counters: [(&str, Field); 12] = [
-            ("clio_device_reads_total", |s| s.reads),
-            ("clio_device_appends_total", |s| s.appends),
-            ("clio_device_invalidations_total", |s| s.invalidations),
-            ("clio_device_tail_rewrites_total", |s| s.tail_rewrites),
-            ("clio_device_end_probes_total", |s| s.end_probes),
-            ("clio_device_read_errors_total", |s| s.read_errors),
-            ("clio_device_append_errors_total", |s| s.append_errors),
-            ("clio_device_invalidate_errors_total", |s| {
-                s.invalidate_errors
-            }),
-            ("clio_device_tail_rewrite_errors_total", |s| {
-                s.tail_rewrite_errors
-            }),
-            ("clio_device_probe_errors_total", |s| s.probe_errors),
-            ("clio_device_seeks_total", |s| s.seeks),
-            ("clio_device_batch_appends_total", |s| s.batch_appends),
-        ];
-        for (name, read) in counters {
-            let stats = self.clone();
-            reg.register_counter_fn(name, move || read(&stats.snapshot()));
-        }
-        let stats = self.clone();
-        reg.register_counter_fn("clio_device_seek_distance_blocks", move || {
-            stats.snapshot().seek_distance
-        });
-        reg.register_histogram("clio_device_read_latency_ns", self.read_latency_ns.clone());
-        reg.register_histogram(
-            "clio_device_append_latency_ns",
-            self.append_latency_ns.clone(),
-        );
-        reg.register_histogram(
-            "clio_device_probe_latency_ns",
-            self.probe_latency_ns.clone(),
-        );
-        reg.register_histogram(
-            "clio_device_append_batch_blocks",
-            self.append_batch_blocks.clone(),
-        );
-        reg.register_histogram(
-            "clio_device_append_batch_latency_ns",
-            self.append_batch_latency_ns.clone(),
-        );
     }
 }
-
 /// A [`LogDevice`] wrapper that records operation counts, error counts and
 /// per-op latency in a shared [`DeviceStats`].
 pub struct InstrumentedDevice {
@@ -309,10 +217,9 @@ impl LogDevice for InstrumentedDevice {
         let r = self.inner.is_written(block);
         if r.is_ok() {
             self.stats.probe_latency_ns.record_duration(start.elapsed());
-            self.stats.end_probes.fetch_add(1, Ordering::Relaxed);
-            self.stats.touch(block);
+            self.stats.end_probes.inc();
         } else {
-            self.stats.probe_errors.fetch_add(1, Ordering::Relaxed);
+            self.stats.probe_errors.inc();
         }
         r
     }
@@ -320,23 +227,19 @@ impl LogDevice for InstrumentedDevice {
     fn append_block(&self, expected: BlockNo, data: &[u8]) -> Result<()> {
         let mut span = self.stats.write_span(1);
         let start = clio_obs::clock::now();
-        match self.inner.append_block(expected, data) {
-            Ok(()) => {
-                self.stats
-                    .append_latency_ns
-                    .record_duration(start.elapsed());
-                self.stats.appends.fetch_add(1, Ordering::Relaxed);
-                self.stats.touch(expected);
-                Ok(())
+        let r = self.inner.append_block(expected, data);
+        if r.is_ok() {
+            self.stats
+                .append_latency_ns
+                .record_duration(start.elapsed());
+            self.stats.appends.inc();
+        } else {
+            if let Some(s) = &mut span {
+                s.fail("io_error");
             }
-            Err(e) => {
-                if let Some(s) = &mut span {
-                    s.fail("io_error");
-                }
-                self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+            self.stats.append_errors.inc();
         }
+        r
     }
 
     fn append_blocks(&self, expected: BlockNo, blocks: &[&[u8]]) -> Result<()> {
@@ -346,75 +249,54 @@ impl LogDevice for InstrumentedDevice {
         let n = blocks.len() as u64;
         let mut span = self.stats.write_span(n);
         let start = clio_obs::clock::now();
-        match self.inner.append_blocks(expected, blocks) {
-            Ok(()) => {
-                self.stats
-                    .append_batch_latency_ns
-                    .record_duration(start.elapsed());
-                self.stats.append_batch_blocks.record(n);
-                self.stats.batch_appends.fetch_add(1, Ordering::Relaxed);
-                self.stats.batch_blocks.fetch_add(n, Ordering::Relaxed);
-                self.stats.appends.fetch_add(n, Ordering::Relaxed);
-                self.stats.touch(expected);
-                self.stats
-                    .last_pos
-                    .store((expected.0 + n - 1) as i64, Ordering::Relaxed);
-                Ok(())
+        let r = self.inner.append_blocks(expected, blocks);
+        if r.is_ok() {
+            // `appends` first: `write_ops` subtracts the batch blocks from it.
+            self.stats.appends.add(n);
+            self.stats.batch_appends.inc();
+            self.stats.append_batch_blocks.record(n);
+            self.stats
+                .append_batch_latency_ns
+                .record_duration(start.elapsed());
+        } else {
+            if let Some(s) = &mut span {
+                s.fail("io_error");
             }
-            Err(e) => {
-                if let Some(s) = &mut span {
-                    s.fail("io_error");
-                }
-                self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+            self.stats.append_errors.inc();
         }
+        r
     }
 
     fn read_block(&self, block: BlockNo, buf: &mut [u8]) -> Result<()> {
         let start = clio_obs::clock::now();
-        match self.inner.read_block(block, buf) {
-            Ok(()) => {
-                self.stats.read_latency_ns.record_duration(start.elapsed());
-                self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                self.stats.touch(block);
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+        let r = self.inner.read_block(block, buf);
+        if r.is_ok() {
+            self.stats.read_latency_ns.record_duration(start.elapsed());
+            self.stats.reads.inc();
+        } else {
+            self.stats.read_errors.inc();
         }
+        r
     }
 
     fn invalidate_block(&self, block: BlockNo) -> Result<()> {
-        match self.inner.invalidate_block(block) {
-            Ok(()) => {
-                self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.stats.touch(block);
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.invalidate_errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+        let r = self.inner.invalidate_block(block);
+        if r.is_ok() {
+            self.stats.invalidations.inc();
+        } else {
+            self.stats.invalidate_errors.inc();
         }
+        r
     }
 
     fn rewrite_tail(&self, block: BlockNo, data: &[u8]) -> Result<()> {
-        match self.inner.rewrite_tail(block, data) {
-            Ok(()) => {
-                self.stats.tail_rewrites.fetch_add(1, Ordering::Relaxed);
-                // Tail rewrites hit NV-RAM, not the disk head: no seek accounting.
-                Ok(())
-            }
-            Err(e) => {
-                self.stats
-                    .tail_rewrite_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+        let r = self.inner.rewrite_tail(block, data);
+        if r.is_ok() {
+            self.stats.tail_rewrites.inc();
+        } else {
+            self.stats.tail_rewrite_errors.inc();
         }
+        r
     }
 
     fn supports_tail_rewrite(&self) -> bool {
@@ -431,15 +313,16 @@ mod tests {
     use super::*;
     use crate::mem::MemWormDevice;
 
-    fn instrumented() -> (InstrumentedDevice, Arc<DeviceStats>) {
-        let stats = DeviceStats::new();
+    fn instrumented() -> (InstrumentedDevice, Arc<DeviceStats>, MetricsRegistry) {
+        let reg = MetricsRegistry::new();
+        let stats = DeviceStats::new(&reg);
         let dev = InstrumentedDevice::new(Arc::new(MemWormDevice::new(32, 64)), stats.clone());
-        (dev, stats)
+        (dev, stats, reg)
     }
 
     #[test]
     fn counts_reads_and_appends() {
-        let (dev, stats) = instrumented();
+        let (dev, stats, _reg) = instrumented();
         let blk = vec![0u8; 32];
         for i in 0..4 {
             dev.append_block(BlockNo(i), &blk).unwrap();
@@ -450,7 +333,6 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.appends, 4);
         assert_eq!(s.reads, 2);
-        assert_eq!(s.accesses(), 6);
         assert_eq!(s.errors(), 0);
         // Every successful op also recorded a latency sample.
         assert_eq!(stats.append_latency_ns.snapshot().count, 4);
@@ -459,7 +341,7 @@ mod tests {
 
     #[test]
     fn failed_ops_count_as_errors_not_successes() {
-        let (dev, stats) = instrumented();
+        let (dev, stats, _reg) = instrumented();
         let mut buf = vec![0u8; 32];
         assert!(dev.read_block(BlockNo(0), &mut buf).is_err());
         assert!(dev.append_block(BlockNo(5), &[0u8; 32]).is_err());
@@ -475,37 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn seeks_count_nonsequential_accesses() {
-        let (dev, stats) = instrumented();
-        let blk = vec![0u8; 32];
-        for i in 0..10 {
-            dev.append_block(BlockNo(i), &blk).unwrap();
-        }
-        stats.reset();
-        let mut buf = vec![0u8; 32];
-        dev.read_block(BlockNo(0), &mut buf).unwrap(); // first access: no seek
-        dev.read_block(BlockNo(1), &mut buf).unwrap(); // sequential
-        dev.read_block(BlockNo(9), &mut buf).unwrap(); // seek of 8
-        dev.read_block(BlockNo(2), &mut buf).unwrap(); // seek of 7
-        let s = stats.snapshot();
-        assert_eq!(s.seeks, 2);
-        assert_eq!(s.seek_distance, 15);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let (dev, stats) = instrumented();
-        dev.append_block(BlockNo(0), &[0u8; 32]).unwrap();
-        stats.reset();
-        assert_eq!(stats.snapshot(), StatsSnapshot::default());
-        assert!(stats.append_latency_ns.snapshot().is_empty());
-    }
-
-    #[test]
     fn registers_into_a_registry() {
-        let (dev, stats) = instrumented();
-        let reg = MetricsRegistry::new();
-        stats.register_into(&reg);
+        let (dev, _stats, reg) = instrumented();
         dev.append_block(BlockNo(0), &[0u8; 32]).unwrap();
         let mut buf = vec![0u8; 32];
         dev.read_block(BlockNo(0), &mut buf).unwrap();
@@ -517,7 +370,7 @@ mod tests {
 
     #[test]
     fn attached_trace_records_device_write_spans() {
-        let (dev, stats) = instrumented();
+        let (dev, stats, _reg) = instrumented();
         let ring = Arc::new(TraceRing::new(8));
         stats.attach_trace(ring.clone());
         dev.append_block(BlockNo(0), &[0u8; 32]).unwrap();
@@ -536,7 +389,7 @@ mod tests {
 
     #[test]
     fn snapshot_display_is_one_line() {
-        let (dev, stats) = instrumented();
+        let (dev, stats, _reg) = instrumented();
         dev.append_block(BlockNo(0), &[0u8; 32]).unwrap();
         let line = format!("{}", stats.snapshot());
         assert!(line.contains("appends=1"));

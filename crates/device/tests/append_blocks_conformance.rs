@@ -12,6 +12,7 @@ use clio_device::{
     DeviceStats, FaultPlan, FaultyDevice, FileWormDevice, InstrumentedDevice, LogDevice,
     MemWormDevice, MirroredDevice, RamTailDevice, SharedDevice,
 };
+use clio_obs::MetricsRegistry;
 use clio_testkit::devcheck::{check_batch_append_conformance, BatchDevice};
 use clio_types::{BlockNo, ClioError, Result};
 
@@ -150,7 +151,7 @@ fn instrumented_device_conforms() {
     check_batch_append_conformance(BLOCK, || {
         adapt(Arc::new(InstrumentedDevice::new(
             Arc::new(MemWormDevice::new(BLOCK, CAPACITY)),
-            DeviceStats::new(),
+            DeviceStats::new(&MetricsRegistry::new()),
         )))
     });
 }
@@ -226,7 +227,7 @@ fn mirror_batch_skips_a_replica_that_has_it_all() {
 
 #[test]
 fn instrumented_batches_count_once_per_physical_write() {
-    let stats = DeviceStats::new();
+    let stats = DeviceStats::new(&MetricsRegistry::new());
     let dev = InstrumentedDevice::new(Arc::new(MemWormDevice::new(BLOCK, CAPACITY)), stats.clone());
     let images: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; BLOCK]).collect();
     let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();

@@ -269,19 +269,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers an existing shared histogram under `name` (for components
-    /// that embed their histograms, like `DeviceStats`). Replaces any
-    /// previous registration of the name.
-    pub fn register_histogram(&self, name: &str, hist: Arc<Histogram>) {
-        self.metrics.lock().insert(
-            name.to_owned(),
-            Entry {
-                labels: Vec::new(),
-                metric: Metric::Histogram(hist),
-            },
-        );
-    }
-
     /// Registers a counter collector polled at gather time. Replaces any
     /// previous registration of the name.
     pub fn register_counter_fn(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
@@ -379,11 +366,8 @@ mod tests {
     fn histograms_register_and_gather() {
         let reg = MetricsRegistry::new();
         reg.histogram("clio_test_latency_ns").record(100);
-        let external = Arc::new(Histogram::new());
-        external.record(9);
-        reg.register_histogram("clio_test_ext_ns", external);
         let samples = reg.gather();
-        assert_eq!(samples.len(), 2);
+        assert_eq!(samples.len(), 1);
         let MetricValue::Histogram(h) = &samples[0].value else {
             panic!("expected histogram");
         };
